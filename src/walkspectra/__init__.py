@@ -59,6 +59,7 @@ from .series import (
     SeriesEvaluation,
     entry_series,
     f_eval,
+    f_resolvent,
     inner_series,
     solve_rho_series,
     tail_bound,

@@ -9,7 +9,6 @@ Exit codes: 0 success or verification pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -64,10 +63,8 @@ class RunConfig:
     subcommand: str
     options: dict = field(default_factory=dict)
     tolerance: float = DEFAULT_TOLERANCE
-    depth: int | None = None
     fmt: str = "json"
     cache_dir: str | None = None
-    seed: int = 0
 
 
 # ---- graph input ------------------------------------------------------------
@@ -232,6 +229,8 @@ def render_table(report):
 
 
 def render_csv(report):
+    import csv  # only this output format needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
@@ -258,7 +257,7 @@ def _vector_list(vec):
 def _cmd_walks(config):
     opts = config.options
     g = opts["graph"]
-    depth = config.depth or 10
+    depth = opts["depth"]
     prof = walk_profile(g, depth)
     report = {
         "n": g.n,
@@ -410,14 +409,14 @@ def _cmd_verify(config):
         return _report_exit([rep.as_dict()]), rep.as_dict()
     if theorem == "multi-set":
         if opts.get("sample"):
-            rng = random.Random(config.seed)
+            rng = random.Random(opts["seed"])
             reports = []
             for _ in range(opts["sample"]):
                 emb = sample_embedding(rng, cache_dir=config.cache_dir)
                 reports.append(verify_multi_set(emb, tol=max(config.tolerance, 1e-8)).as_dict())
             body = {
                 "theorem": "multi-set",
-                "seed": config.seed,
+                "seed": opts["seed"],
                 "sample": opts["sample"],
                 "verdicts": {
                     v: sum(1 for r in reports if r["verdict"] == v)
@@ -479,16 +478,15 @@ def build_parser():
     )
     common.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
                         help="numerical tolerance (default 1e-10)")
-    common.add_argument("--depth", type=int, help="walk/series depth override")
     common.add_argument("--cache-dir",
                         help=f"enumeration cache directory (or ${CACHE_ENV})")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized verification samples")
 
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("walks", parents=[common], help="exact walk counts")
     _add_graph_options(p)
+    p.add_argument("--depth", type=int, default=10,
+                   help="longest walk length counted (default 10)")
     p.add_argument("--per-vertex", action="store_true")
 
     p = subs.add_parser("compare", parents=[common],
@@ -541,6 +539,8 @@ def build_parser():
     p.add_argument("--parts", help="part sizes for multi-set")
     p.add_argument("--host", action="append", help="part=GRAPH host spec")
     p.add_argument("--sample", type=int, help="verify N random embeddings")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for --sample (default 0)")
 
     return parser
 
@@ -557,10 +557,8 @@ def config_from_args(args):
     config = RunConfig(
         subcommand=args.subcommand,
         tolerance=args.tol,
-        depth=args.depth,
         fmt=args.format,
         cache_dir=args.cache_dir or os.environ.get(CACHE_ENV),
-        seed=args.seed,
     )
     if config.tolerance <= 0:
         raise FormatError("tolerance must be positive")
@@ -569,6 +567,9 @@ def config_from_args(args):
     if args.subcommand == "walks":
         opts["graph"] = _graph_from_args(args)
         opts["per_vertex"] = args.per_vertex
+        if args.depth < 1:
+            raise FormatError("--depth must be at least 1")
+        opts["depth"] = args.depth
     elif args.subcommand == "compare":
         opts["g1"] = load_graph(args.g1)
         opts["g2"] = load_graph(args.g2)
@@ -629,7 +630,7 @@ def config_from_args(args):
             )
         elif args.theorem == "multi-set":
             if args.sample:
-                opts["sample"] = args.sample
+                opts.update(sample=args.sample, seed=args.seed)
             else:
                 _require(args, ["parts"])
                 opts["embedding"] = build_embedding(args.parts, args.host)

@@ -13,12 +13,14 @@ so callers can scan parameter ranges and observe onset thresholds.
 
 from __future__ import annotations
 
+import functools
 import os
+import sys
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import FormatError, GraphError, HypothesisNotMet, SeriesError, SpectralError
-from .graphio import from_graph6, to_graph6
+from .errors import FormatError, GraphError, SeriesError, SpectralError
+from .graphio import read_graph6, to_graph6, write_graph6
 from .graphs import (
     MultipartiteEmbedding,
     canonical_form,
@@ -27,7 +29,7 @@ from .graphs import (
     star,
     turan_part_sizes,
 )
-from .series import _schedule_depth, f_eval, solve_rho_series
+from .series import f_resolvent, solve_rho_series
 from .spectral import DENSE_LIMIT, rho_dense, rho_power
 from .walks import Ordering, ex_filter, ex_infinity, walk_compare
 
@@ -47,6 +49,9 @@ __all__ = [
 ]
 
 M_EDGE_LIMIT = 7
+# Isomorphism classes of m-edge graphs without isolated vertices, m = 1..7
+# (OEIS A000664); a cache file of any other length is rejected.
+M_EDGE_COUNTS = (1, 2, 5, 11, 26, 68, 177)
 EMBED_EDGE_LIMIT = 5
 SPEX_TIE_TOL = 1e-9
 ORACLE_AGREEMENT = 1e-9
@@ -70,7 +75,7 @@ class EnumerationFamily:
         return iter(self.members)
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     theorem: str
     parameters: dict
@@ -133,11 +138,26 @@ def enumerate_m_edge(m, cache_dir=None):
     path = _cache_path(cache_dir, f"m_edge_{m}.g6")
     if path is not None and os.path.exists(path):
         try:
-            members = _read_g6_file(path)
+            members = read_graph6(path)
+        except (FormatError, UnicodeDecodeError):
+            members = []  # damaged cache; regenerate below
+        if len(members) == M_EDGE_COUNTS[m - 1] and all(g.num_edges == m for g in members):
             return EnumerationFamily(f"m-edge:m={m}", members)
-        except FormatError:
-            pass  # stale cache; regenerate below
 
+    members = list(_m_edge_classes(m))
+    if path is not None:
+        # Write beside the target and rename, so a reader never sees a
+        # partly written file.
+        tmp = f"{path}.{os.getpid()}.tmp"
+        write_graph6(members, tmp)
+        os.replace(tmp, path)
+    return EnumerationFamily(f"m-edge:m={m}", members)
+
+
+@functools.cache
+def _m_edge_classes(m):
+    """The m-edge classes in canonical-byte order, generated once per
+    process; graphs are immutable, so callers share them."""
     level = {}
     seed = complete(2)
     level[canonical_form(seed).data] = seed
@@ -149,25 +169,7 @@ def enumerate_m_edge(m, cache_dir=None):
                 if key not in nxt:
                     nxt[key] = h
         level = nxt
-    members = [level[k] for k in sorted(level)]
-
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for g in members:
-                fh.write(to_graph6(g) + "\n")
-    return EnumerationFamily(f"m-edge:m={m}", members)
-
-
-def _read_g6_file(path):
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(from_graph6(line))
-    if not out:
-        raise FormatError("empty cache file")
-    return out
+    return tuple(level[k] for k in sorted(level))
 
 
 def enumerate_m_edge_order(n, m, cache_dir=None):
@@ -274,6 +276,17 @@ def sample_embedding(
 # ---- spectral argmax -------------------------------------------------------
 
 
+def _radius(g):
+    """Power-iteration radius of g; an unconverged run never feeds a verdict."""
+    res = rho_power(g, tol=1e-12)
+    if not res.converged:
+        raise SpectralError(
+            f"power iteration did not converge on a graph of order {g.n} "
+            f"(residual {res.residual:.3e} after {res.iterations} iterations)"
+        )
+    return res
+
+
 def _realized(member):
     if isinstance(member, MultipartiteEmbedding):
         return member.realize()
@@ -293,7 +306,7 @@ def _spex_detail(members, tol=SPEX_TIE_TOL, cross_check=True):
     if not members:
         raise ValueError("family must be nonempty")
     graphs = [_realized(m) for m in members]
-    rhos = [rho_power(g, tol=1e-12).rho for g in graphs]
+    rhos = [_radius(g).rho for g in graphs]
     top = max(rhos)
     if cross_check:
         window = max(_CROSS_CHECK_WINDOW, 10 * tol)
@@ -426,8 +439,8 @@ def verify_one_set(s_size, t_size, host1, host2, n_range, tol=ORACLE_AGREEMENT):
         p = n - s_size
         g1 = join(complete(s_size), h1.add_isolated(p - t_size))
         g2 = join(complete(s_size), h2.add_isolated(p - t_size))
-        r1 = rho_power(g1, tol=1e-12).rho
-        r2 = rho_power(g2, tol=1e-12).rho
+        r1 = _radius(g1).rho
+        r2 = _radius(g2).rho
         diffs.append((n, r1 - r2))
 
     if cert.ordering is Ordering.EQUAL:
@@ -471,11 +484,10 @@ def verify_multi_set(embedding, tol=1e-8):
     Inapplicable (not a failure) when the radius does not exceed the max
     host degree: the identity is only asserted above it.
     """
-    realized = embedding.realize()
-    measured = rho_power(realized, tol=1e-12)
+    measured = _radius(embedding.realize())
     target = float(embedding.r - 1)
     params = {
-        "parts": list(embedding.part_sizes),
+        "parts": embedding.part_sizes,  # immutable; shared, not copied
         "t": embedding.t,
         "delta": embedding.delta,
     }
@@ -488,32 +500,28 @@ def verify_multi_set(embedding, tol=1e-8):
             },
         )
     try:
-        depth = _schedule_depth(embedding, measured.rho, min(tol, 1e-9))
-        ev = f_eval(embedding, measured.rho, depth)
+        ev = f_resolvent(embedding, measured.rho)
         solved = solve_rho_series(embedding, tol=min(tol, 1e-10))
-    except HypothesisNotMet as exc:
-        return VerificationReport(
-            "multi-set", params, "inapplicable",
-            details={"reason": str(exc), "rho_power": measured.rho},
-        )
-    except SeriesError as exc:
+    except SeriesError as exc:  # includes HypothesisNotMet
         return VerificationReport(
             "multi-set", params, "inapplicable",
             details={"reason": str(exc), "rho_power": measured.rho},
         )
     gap = max(0.0, ev.value_lo - target, target - ev.value_hi)
     identity_ok = gap <= tol
-    solver_ok = abs(solved.rho - measured.rho) <= tol
+    solver_ok = solved.converged and abs(solved.rho - measured.rho) <= tol
     return VerificationReport(
         theorem="multi-set",
         parameters=params,
         verdict="pass" if identity_ok and solver_ok else "fail",
-        witnesses=[to_graph6(h) for h in embedding.hosts if h is not None],
+        # A scan keeps one report per sample, so the report is kept small:
+        # tuples, and interned encodings of the few hosts that recur.
+        witnesses=tuple(sys.intern(to_graph6(h)) for h in embedding.hosts if h is not None),
         details={
             "rho_power": measured.rho,
             "rho_series": solved.rho,
             "depth": ev.depth,
-            "interval": [ev.value_lo, ev.value_hi],
+            "interval": (ev.value_lo, ev.value_hi),
             "interval_width": ev.width,
             "identity_gap": gap,
             "solver_gap": abs(solved.rho - measured.rho),

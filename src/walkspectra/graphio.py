@@ -126,7 +126,10 @@ def from_graph6(s):
         s = s[len(">>graph6<<") :]
     if not s:
         raise FormatError("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError:
+        raise FormatError("invalid graph6 character") from None
     if any(b < 63 or b > 126 for b in data):
         raise FormatError("invalid graph6 character")
 

@@ -15,17 +15,23 @@ set's entries to sum to x).  The per-part denominator series
 drives the spectral-radius equation: summing its reciprocals over all parts
 equals r - 1 exactly at x = rho.  Truncations carry explicit geometric tail
 bounds, so every value returned here is a certified enclosure.
+
+The solver sums the denominator series to infinity instead: for x > D it is
+1 + (n_s - n_H)/x + 1^T (xI - A_H)^{-1} 1, a linear solve on the host's few
+vertices.  A float solve is certified by an interval residual and Varah's
+bound ||(xI - A_H)^{-1}||_inf <= 1/(x - D) for the strictly diagonally
+dominant matrix xI - A_H (Varah 1975, Linear Algebra Appl. 11).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import HypothesisNotMet, SeriesError
-from .graphs import empty, join
 from .intervals import Ival, powers
-from .spectral import SpectralResult, rho_power
+from .spectral import SpectralResult
 from .walks import walk_profile, walk_totals
 
 __all__ = [
@@ -35,13 +41,11 @@ __all__ = [
     "tail_bound",
     "inner_series",
     "f_eval",
+    "f_resolvent",
     "solve_rho_series",
 ]
 
 DEFAULT_SOLVE_TOL = 1e-10
-INITIAL_DEPTH = 8
-MAX_DEPTH = 1 << 15
-BISECTION_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -208,124 +212,95 @@ def f_eval(embedding, x, depth):
     )
 
 
-def _schedule_depth(embedding, x_low, tol):
-    """Starting truncation depth: double from 8 until the total tail at the
-    bracket's low end drops below tol / (4r)."""
-    target = tol / (4.0 * embedding.r)
-    depth = INITIAL_DEPTH
-    while depth <= MAX_DEPTH:
-        total = sum(_host_tail(h, x_low, depth) for h in embedding.hosts)
-        if total < target:
-            return depth
-        depth *= 2
-    raise SeriesError(
-        "tail bound does not reach the tolerance target; evaluation point too "
-        "close to the max host degree"
-    )
+def _resolvent_denominator(size, host, x):
+    """Certified enclosure of 1 + n_s/x + sum_{i>=1} W_i(H)/x^{i+1}, the
+    series summed to infinity.
 
-
-def _slope_lower(embedding, a, b, depth):
-    """Certified lower bound on the derivative of f over [a, b], a > delta.
-
-    Each part contributes at least (n_s / b^2) / D_s(a)^2: the derivative of
-    the denominator is at most -n_s/x^2, and the denominator itself peaks at
-    the interval's low end because it decreases in x.
+    sum_{i>=0} W_i / x^{i+1} = 1^T y with (xI - A_H) y = 1, so the
+    denominator is 1 + (n_s - n_H)/x + sum(y).  y is solved in floats; for
+    x > D the matrix is strictly diagonally dominant with row margin at
+    least x - D, so |y - y_hat|_inf <= |1 - (xI - A_H) y_hat|_inf / (x - D)
+    (Varah's bound), with the residual evaluated in interval arithmetic.
     """
-    b_iv = Ival(float(b))
+    x_iv = Ival(x)
+    if host is None or host.num_edges == 0:
+        return Ival(1.0) + Ival(float(size)) / x_iv
+    k = host.n
+    y = np.linalg.solve(x * np.eye(k) - host.adjacency(float), np.ones(k))
+    res_norm = 0.0
+    total = Ival(0.0)
+    for u, nbrs in enumerate(host.neighbor_lists):
+        yu = float(y[u])
+        res = Ival(1.0) - x_iv * yu
+        for v in nbrs:
+            res = res + float(y[v])
+        res_norm = max(res_norm, -res.lo, res.hi)
+        total = total + yu
+    err = (Ival(res_norm) / (x_iv - float(host.max_degree()))).hi
+    total = total + Ival(-err, err) * float(k)
+    return Ival(1.0) + Ival(float(size - k)) / x_iv + total
+
+
+def f_resolvent(embedding, x):
+    """Certified enclosure of the part-sum f(x) with every inner series
+    summed to infinity in closed form: no truncation, so depth and tail
+    bound are both reported as 0."""
+    x = float(x)
+    if not x > embedding.delta:
+        raise HypothesisNotMet(
+            f"series evaluation needs x > max host degree ({x} <= {embedding.delta})"
+        )
     total = Ival(0.0)
     for size, host in zip(embedding.part_sizes, embedding.hosts):
-        d_at_a = Ival(1.0) + Ival(float(size)) / Ival(float(a)) + inner_series(host, a, depth)
-        d_hi = Ival(d_at_a.hi)
-        total = total + Ival(float(size)) / (b_iv * b_iv * d_hi * d_hi)
-    return total.lo
-
-
-def _bracket_low(embedding):
-    """Best certified lower bound on the realized spectral radius.
-
-    The hostless graph is a spanning subgraph, and so is each host joined to
-    every vertex outside its own part; the radius of any subgraph is a lower
-    bound.  The join bounds matter when small parts make the hostless radius
-    fall below the max host degree.
-    """
-    best = rho_power(embedding.hostless().realize(), tol=1e-12).rho
-    n = embedding.n
-    for size, host in zip(embedding.part_sizes, embedding.hosts):
-        if host is not None and host.num_edges > 0:
-            sub = join(host, empty(n - size))
-            best = max(best, rho_power(sub, tol=1e-12).rho)
-    return best
+        total = total + Ival(1.0) / _resolvent_denominator(size, host, x)
+    return SeriesEvaluation(
+        x=x, depth=0, value_lo=total.lo, value_hi=total.hi, tail_bound=0.0
+    )
 
 
 def solve_rho_series(embedding, tol=DEFAULT_SOLVE_TOL):
     """Spectral radius of the realized embedding via the series equation.
 
-    Brackets rho between a certified subgraph lower bound and the hostless
-    radius plus sqrt(2t) (adding t edges cannot raise the radius by more),
-    then bisects the strictly increasing map x -> f(x) against r - 1 using
-    certified interval evaluations.  A probe only moves an endpoint when its
-    interval separates from r - 1; depth doubles adaptively when it does
-    not.
+    Bisects the strictly increasing map x -> f(x) against r - 1 on the
+    bracket (D, D(G)], where D is the max host degree and D(G), the max
+    degree of the realized graph, bounds rho from above.  Each probe is the
+    certified closed-form enclosure of :func:`f_resolvent`, and moves an
+    endpoint only when it separates from r - 1.  A probe whose enclosure
+    contains r - 1 lies within resolution of rho: the points tol/4 either
+    side of it are probed once and the bracket they certify is returned.
     """
     if tol <= 0:
         raise SeriesError("tolerance must be positive")
-    base = rho_power(embedding.hostless().realize(), tol=1e-12)
-    # Cover the power-iteration error: a unit vector with max-norm residual r
-    # puts an eigenvalue within sqrt(n) * r of the Rayleigh quotient.
-    cushion = max(tol / 4.0, 4e-12 * math.sqrt(max(embedding.n, 1)))
-    lo = _bracket_low(embedding) - cushion
-    hi = base.rho + math.sqrt(2.0 * embedding.t) + cushion
-    if not lo > embedding.delta:
+    target = float(embedding.r - 1)
+    a = float(embedding.delta)
+    b = float(max(
+        embedding.n - size + (0 if host is None else host.max_degree())
+        for size, host in zip(embedding.part_sizes, embedding.hosts)
+    ))
+    a_certified = False
+    steps = 0
+    while b - a > tol:
+        x = 0.5 * (a + b)
+        if not a < x < b:
+            break
+        steps += 1
+        ev = f_resolvent(embedding, x)
+        if ev.value_hi < target:
+            a, a_certified = x, True
+        elif ev.value_lo > target:
+            b = x
+        else:
+            q = 0.25 * tol
+            if f_resolvent(embedding, x - q).value_hi < target:
+                a, a_certified = x - q, True
+            if f_resolvent(embedding, x + q).value_lo > target:
+                b = x + q
+            break
+    if not a_certified:
         raise HypothesisNotMet(
-            f"bracket low end {lo:.6g} does not exceed max host degree "
+            f"bracket low end {a:.6g} is not certified above max host degree "
             f"{embedding.delta}; the series equation is not certified here"
         )
-    target = float(embedding.r - 1)
-    depth = _schedule_depth(embedding, lo, tol)
-    max_depth_used = depth
-
-    a, b = lo, hi
-    steps = 0
-    for steps in range(1, BISECTION_STEPS + 1):
-        if b - a <= tol:
-            break
-        x = 0.5 * (a + b)
-        probe_depth = depth
-        prev_width = None
-        while True:
-            ev = f_eval(embedding, x, probe_depth)
-            max_depth_used = max(max_depth_used, probe_depth)
-            if ev.value_hi < target:
-                a = x
-                break
-            if ev.value_lo > target:
-                b = x
-                break
-            at_floor = prev_width is not None and ev.width > 0.5 * prev_width
-            if at_floor or probe_depth >= MAX_DEPTH:
-                # The enclosure is pinned on the target at its precision
-                # floor, so x sits within resolution of rho: a certified
-                # slope bound turns the f-interval width into a bracket.
-                slope = _slope_lower(embedding, a, b, probe_depth)
-                if slope > 0:
-                    bound = (Ival(ev.width) / Ival(slope)).hi
-                    na, nb = max(a, x - bound), min(b, x + bound)
-                    if nb - na < b - a:
-                        a, b = na, nb
-                        break
-                return SpectralResult(
-                    rho=x,
-                    vector=None,
-                    residual=b - a,
-                    iterations=steps,
-                    method="series",
-                    converged=b - a <= tol,
-                    bracket=(a, b),
-                    depth=max_depth_used,
-                )
-            prev_width = ev.width
-            probe_depth *= 2
-
     return SpectralResult(
         rho=0.5 * (a + b),
         vector=None,
@@ -334,5 +309,5 @@ def solve_rho_series(embedding, tol=DEFAULT_SOLVE_TOL):
         method="series",
         converged=b - a <= tol,
         bracket=(a, b),
-        depth=max_depth_used,
+        depth=0,
     )

@@ -1,6 +1,7 @@
 """Shared test oracles: independent routes to the quantities under test."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,3 +97,32 @@ def frac_geq(num, den, bound):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def exact_denominator(size, host, x):
+    """1 + n_s/x + sum_{i>=1} W_i(host)/x^(i+1) summed to infinity, as an
+    exact Fraction: 1 + (n_s - n_H)/x + 1^T y with (xI - A_H) y = 1 solved by
+    exact Gaussian elimination."""
+    x = Fraction(float(x))
+    k = 0 if host is None else host.n
+    m = [
+        [(x if i == j else 0) - int(host.adj[i, j]) for j in range(k)] + [Fraction(1)]
+        for i in range(k)
+    ]
+    for c in range(k):
+        p = next(i for i in range(c, k) if m[i][c] != 0)
+        m[c], m[p] = m[p], m[c]
+        for i in range(k):
+            if i != c and m[i][c] != 0:
+                f = m[i][c] / m[c][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return 1 + (size - k) / x + sum(m[i][k] / m[i][i] for i in range(k))
+
+
+def exact_part_sum(embedding, x):
+    """The part-sum f(x) with every inner series summed to infinity, as an
+    exact Fraction."""
+    return sum(
+        1 / exact_denominator(size, host, x)
+        for size, host in zip(embedding.part_sizes, embedding.hosts)
+    )

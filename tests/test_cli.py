@@ -254,6 +254,22 @@ class TestInputsAndErrors:
             == EXIT_USAGE
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rho", "--family", "star:3", "--depth", "5"],
+            ["walks", "--family", "star:3", "--seed", "1"],
+            ["solve-series", "--parts", "2,2", "--seed", "1"],
+        ],
+    )
+    def test_options_only_where_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+
+    def test_walk_depth_positive(self, capsys):
+        assert main(["walks", "--family", "star:3", "--depth", "0"]) == EXIT_USAGE
+
     def test_dense_cap_is_usage_error(self, capsys):
         code = main(["rho", "--family", "complete:70", "--method", "dense"])
         assert code == EXIT_USAGE

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ from conftest import eig_rho
 from walkspectra import (
     Graph,
     GraphError,
+    SpectralError,
     MultipartiteEmbedding,
     canonical_form,
     complete,
@@ -15,6 +17,7 @@ from walkspectra import (
     star,
     to_graph6,
 )
+from walkspectra import extremal
 from walkspectra.extremal import (
     enumerate_embeddings,
     enumerate_m_edge,
@@ -136,6 +139,16 @@ class TestEnumerateMEdge:
         assert (tmp_path / "m_edge_4.g6").exists()
         fam2 = enumerate_m_edge(4, cache_dir=str(tmp_path))
         assert fam1.members == fam2.members
+
+    def test_truncated_cache_regenerated(self, tmp_path):
+        cache = tmp_path / "m_edge_4.g6"
+        full = enumerate_m_edge(4, cache_dir=str(tmp_path)).members
+        cache.write_text("".join(cache.read_text().splitlines(True)[:3]))
+        fam = enumerate_m_edge(4, cache_dir=str(tmp_path))
+        assert len(fam) == 11
+        assert fam.members == full
+        assert len(cache.read_text().splitlines()) == 11
+        assert [p.name for p in tmp_path.iterdir()] == ["m_edge_4.g6"]
 
     def test_padded_family(self):
         fam = enumerate_m_edge_order(8, 3)
@@ -311,6 +324,22 @@ class TestVerifyMultiSet:
         for e in enumerate_embeddings(14, 2, 3):
             rep = verify_multi_set(e)
             assert rep.verdict in ("pass", "inapplicable")
+
+
+class TestPowerIterationConvergence:
+    def test_unconverged_radius_raises(self, monkeypatch):
+        real = extremal.rho_power
+
+        def stalled(g, tol=1e-12):
+            return dataclasses.replace(real(g, tol=tol), converged=False)
+
+        monkeypatch.setattr(extremal, "rho_power", stalled)
+        with pytest.raises(SpectralError, match="did not converge"):
+            verify_multi_set(MultipartiteEmbedding((3, 3), (complete(2), None)))
+        with pytest.raises(SpectralError, match="did not converge"):
+            verify_one_set(2, 4, complete(3), star(4), range(6, 9))
+        with pytest.raises(SpectralError, match="did not converge"):
+            spex(enumerate_m_edge(3))
 
 
 class TestVerifyCorollaryTnrk:

@@ -99,6 +99,11 @@ class TestGraph6:
         with pytest.raises(FormatError):
             from_graph6("B\x20w")
 
+    def test_non_ascii_rejected(self):
+        # a lossy encoding would turn the accent into '?', a valid byte
+        with pytest.raises(FormatError, match="invalid graph6 character"):
+            from_graph6("B\u00e9")
+
     def test_wrong_body_length(self):
         with pytest.raises(FormatError, match="body"):
             from_graph6("Bww")

@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import exact_inner_fraction, frac_geq, frac_leq
+from conftest import (
+    eig_rho,
+    exact_denominator,
+    exact_inner_fraction,
+    exact_part_sum,
+    frac_geq,
+    frac_leq,
+)
 from walkspectra import (
     HypothesisNotMet,
     MultipartiteEmbedding,
@@ -10,6 +17,7 @@ from walkspectra import (
     empty,
     entry_series,
     f_eval,
+    f_resolvent,
     inner_series,
     perron_normalized,
     rho_power,
@@ -18,6 +26,7 @@ from walkspectra import (
     tail_bound,
 )
 from walkspectra.extremal import sample_embedding
+from walkspectra.series import _resolvent_denominator
 
 
 class TestEntrySeries:
@@ -169,6 +178,48 @@ class TestFEval:
             f_eval(e, 2.0, 8)
 
 
+class TestFResolvent:
+    def test_encloses_exact_infinite_sum(self, rng):
+        for i in range(60):
+            e = sample_embedding(rng)
+            gap = 0.01 if i % 3 == 0 else 6 * rng.random() + 0.01
+            x = e.delta + gap
+            ev = f_resolvent(e, x)
+            exact = exact_part_sum(e, x)
+            assert Fraction(ev.value_lo) <= exact <= Fraction(ev.value_hi)
+            assert ev.depth == 0 and ev.tail_bound == 0.0
+
+    def test_denominator_encloses_exact_sum(self, rng):
+        # Close to the max degree the float solve is off by more than the
+        # rounding slack, so only the certified error term keeps the exact
+        # value inside.
+        for _ in range(80):
+            e = sample_embedding(rng)
+            for size, host in zip(e.part_sizes, e.hosts):
+                if host is None:
+                    continue
+                for gap in (1e-6, 0.01, 0.5):
+                    x = host.max_degree() + gap
+                    iv = _resolvent_denominator(size, host, x)
+                    exact = exact_denominator(size, host, x)
+                    assert Fraction(iv.lo) <= exact <= Fraction(iv.hi)
+
+    def test_overlaps_depth_64_series(self, rng):
+        for _ in range(25):
+            e = sample_embedding(rng)
+            x = e.delta + 0.5 + 6 * rng.random()
+            closed = f_resolvent(e, x)
+            deep = f_eval(e, x, 64)
+            assert closed.value_lo <= deep.value_hi
+            assert deep.value_lo <= closed.value_hi
+            assert closed.width <= deep.width
+
+    def test_requires_x_above_delta(self):
+        e = MultipartiteEmbedding((1, 3), (None, complete(3)))
+        with pytest.raises(HypothesisNotMet):
+            f_resolvent(e, 2.0)
+
+
 class TestSolve:
     def test_hostless_square(self):
         e = MultipartiteEmbedding((2, 2))
@@ -200,11 +251,28 @@ class TestSolve:
             assert abs(res.rho - power) <= 1e-8
             assert res.bracket[0] <= power + 1e-9
             assert power - 1e-9 <= res.bracket[1]
+            assert res.converged
+            eig = eig_rho(e.realize())
+            assert res.bracket[0] <= eig <= res.bracket[1]
             done += 1
+
+    def test_first_probe_on_the_root(self):
+        # K_{1,4}: the bracket is (0, 4], so the first probe is rho = 2
+        # itself and its enclosure straddles r - 1.
+        e = MultipartiteEmbedding((1, 4))
+        ev = f_resolvent(e, 2.0)
+        assert ev.value_lo <= 1.0 <= ev.value_hi
+        tol = 1e-10
+        res = solve_rho_series(e, tol=tol)
+        lo, hi = res.bracket
+        assert res.converged
+        assert res.iterations == 1
+        assert lo <= 2.0 <= hi
+        assert hi - lo <= tol
 
     def test_refuses_uncertifiable_bracket(self):
         e = MultipartiteEmbedding((1, 5), (None, star(5)))
-        with pytest.raises(HypothesisNotMet, match="bracket"):
+        with pytest.raises(HypothesisNotMet, match="^bracket low end"):
             solve_rho_series(e)
 
     def test_entry_bounds_via_part_normalization(self, rng):
