@@ -101,15 +101,15 @@ def family_graph(spec):
 def _graph_from_file(path_):
     with open(path_, encoding="utf-8") as fh:
         text = fh.read()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
-            return parse_edge_list(text)
-        return from_graph6(line)
-    raise FormatError(f"no graph data in {path_}")
+    lines = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
+    if not lines:
+        raise FormatError(f"no graph data in {path_}")
+    parts = lines[0].split()
+    if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
+        return parse_edge_list(text)
+    if len(lines) > 1:
+        raise FormatError(f"{path_} holds {len(lines)} graph6 lines; one graph expected")
+    return from_graph6(lines[0])
 
 
 def load_graph(spec):
@@ -154,6 +154,8 @@ def build_embedding(parts_spec, host_specs):
             raise FormatError(f"non-integer part index in {hs!r}") from None
         if not 1 <= idx <= len(sizes):
             raise FormatError(f"part index {idx} out of range 1..{len(sizes)}")
+        if hosts[idx - 1] is not None:
+            raise FormatError(f"part {idx} is given more than one host")
         hosts[idx - 1] = load_graph(graph_spec)
     return MultipartiteEmbedding(sizes, hosts)
 
@@ -431,11 +433,10 @@ def _cmd_verify(config):
         rep = verify_multi_set(emb, tol=max(config.tolerance, 1e-8))
         return _report_exit([rep.as_dict()]), rep.as_dict()
     if theorem == "cor-tnrk":
-        if opts.get("n_max"):
-            n_lo = opts.get("n_min") or opts["r"] * opts["k"]
+        if opts["n_max"] is not None:
             reports = []
             onset = None
-            for n in range(n_lo, opts["n_max"] + 1):
+            for n in range(opts["n_min"], opts["n_max"] + 1):
                 rep = verify_corollary_tnrk(n, opts["r"], opts["k"]).as_dict()
                 reports.append(rep)
                 onset = None if rep["verdict"] != "pass" else (onset if onset is not None else n)
@@ -443,7 +444,7 @@ def _cmd_verify(config):
                 "theorem": "cor-tnrk",
                 "r": opts["r"],
                 "k": opts["k"],
-                "n_min": n_lo,
+                "n_min": opts["n_min"],
                 "n_max": opts["n_max"],
                 "onset": onset,
                 "per_n": [
@@ -638,8 +639,10 @@ def config_from_args(args):
             _require(args, ["r", "k"])
             if args.n is None and args.n_max is None:
                 raise FormatError("cor-tnrk needs --n or --n-max")
-            opts.update(n=args.n, r=args.r, k=args.k,
-                        n_min=args.n_min, n_max=args.n_max)
+            n_min = args.r * args.k if args.n_min is None else args.n_min
+            if args.n_max is not None and args.n_max < n_min:
+                raise FormatError(f"empty n range {n_min}..{args.n_max}")
+            opts.update(n=args.n, r=args.r, k=args.k, n_min=n_min, n_max=args.n_max)
     return config
 
 
@@ -675,10 +678,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-    except (FormatError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (FormatError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return run(config)

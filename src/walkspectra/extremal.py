@@ -25,12 +25,11 @@ from .graphs import (
     MultipartiteEmbedding,
     canonical_form,
     complete,
-    join,
     star,
     turan_part_sizes,
 )
 from .series import f_resolvent, solve_rho_series
-from .spectral import DENSE_LIMIT, rho_dense, rho_power
+from .spectral import dense_radius, power_radius
 from .walks import Ordering, ex_filter, ex_infinity, walk_compare
 
 __all__ = [
@@ -56,8 +55,8 @@ EMBED_EDGE_LIMIT = 5
 SPEX_TIE_TOL = 1e-9
 ORACLE_AGREEMENT = 1e-9
 
-# Dense cross-checks cost n^3 per member; only candidates this close to the
-# running maximum can influence the argmax decision.
+# Jacobi sweeps are Python loops, so only candidates this close to the
+# maximum, the ones that can influence the argmax decision, are checked.
 _CROSS_CHECK_WINDOW = 1e-7
 
 
@@ -141,7 +140,9 @@ def enumerate_m_edge(m, cache_dir=None):
             members = read_graph6(path)
         except (FormatError, UnicodeDecodeError):
             members = []  # damaged cache; regenerate below
-        if len(members) == M_EDGE_COUNTS[m - 1] and all(g.num_edges == m for g in members):
+        if len(members) == M_EDGE_COUNTS[m - 1] and all(
+            g.num_edges == m and min(g.degrees) > 0 for g in members
+        ):
             return EnumerationFamily(f"m-edge:m={m}", members)
 
     members = list(_m_edge_classes(m))
@@ -276,21 +277,20 @@ def sample_embedding(
 # ---- spectral argmax -------------------------------------------------------
 
 
-def _radius(g):
-    """Power-iteration radius of g; an unconverged run never feeds a verdict."""
-    res = rho_power(g, tol=1e-12)
+def _radius(member):
+    """Power-iteration radius of an embedding's quotient (a graph's adjacency
+    matrix) and that matrix; an unconverged run never feeds a verdict."""
+    if isinstance(member, MultipartiteEmbedding):
+        a, sizes = member.quotient()
+    else:
+        a, sizes = member.adjacency(float), [1] * member.n
+    res = power_radius(a, sizes, tol=1e-12)
     if not res.converged:
         raise SpectralError(
-            f"power iteration did not converge on a graph of order {g.n} "
+            f"power iteration did not converge on a matrix of order {len(a)} "
             f"(residual {res.residual:.3e} after {res.iterations} iterations)"
         )
-    return res
-
-
-def _realized(member):
-    if isinstance(member, MultipartiteEmbedding):
-        return member.realize()
-    return member
+    return res, a
 
 
 @dataclass
@@ -301,35 +301,35 @@ class _SpexDetail:
     winners: list
 
 
-def _spex_detail(members, tol=SPEX_TIE_TOL, cross_check=True):
+def _spex_detail(members, tol=SPEX_TIE_TOL):
     members = list(members)
     if not members:
         raise ValueError("family must be nonempty")
-    graphs = [_realized(m) for m in members]
-    rhos = [_radius(g).rho for g in graphs]
+    radii = [_radius(m) for m in members]
+    rhos = [res.rho for res, _ in radii]
     top = max(rhos)
-    if cross_check:
-        window = max(_CROSS_CHECK_WINDOW, 10 * tol)
-        for g, rho in zip(graphs, rhos):
-            if rho >= top - window and g.n <= DENSE_LIMIT:
-                other = rho_dense(g).rho
-                if abs(other - rho) > ORACLE_AGREEMENT:
-                    raise SpectralError(
-                        f"spectral oracles disagree by {abs(other - rho):.3e} "
-                        f"on a graph of order {g.n}"
-                    )
+    window = max(_CROSS_CHECK_WINDOW, 10 * tol)
+    for res, a in radii:
+        if res.rho >= top - window:
+            other = dense_radius(a)
+            if abs(other - res.rho) > ORACLE_AGREEMENT:
+                raise SpectralError(
+                    f"spectral oracles disagree by {abs(other - res.rho):.3e} "
+                    f"on a matrix of order {len(a)}"
+                )
     winners = [m for m, rho in zip(members, rhos) if rho >= top - tol]
     return _SpexDetail(members=members, rhos=rhos, top=top, winners=winners)
 
 
-def spex(family, tol=SPEX_TIE_TOL, cross_check=True):
+def spex(family, tol=SPEX_TIE_TOL):
     """Members of maximum spectral radius, ties within tol kept.
 
-    Radii come from power iteration; candidates near the maximum are
-    cross-checked against the dense solver when small enough for it.
+    Radii come from power iteration on each embedding's twin-class quotient
+    (a graph's adjacency matrix); candidates near the maximum are
+    cross-checked by the Jacobi solver on the same matrix.
     """
     members = family.members if isinstance(family, EnumerationFamily) else family
-    return _spex_detail(members, tol=tol, cross_check=cross_check).winners
+    return _spex_detail(members, tol=tol).winners
 
 
 # ---- verifiers -------------------------------------------------------------
@@ -414,9 +414,11 @@ def verify_one_set(s_size, t_size, host1, host2, n_range, tol=ORACLE_AGREEMENT):
 
     The ambient graph of order n is a clique of ``s_size`` vertices joined
     to an independent set; each host's edges are placed on the first
-    ``t_size`` independent vertices.  Reports the least tested n from which
-    the sign of the radius difference matches the certificate for all larger
-    tested n (the observed onset).
+    ``t_size`` independent vertices: the complete (s_size+1)-partite
+    embedding with single-vertex parts and the host in the last part, whose
+    radius is taken on its quotient, of order s_size + t_size + 1 at any n.
+    Reports the least tested n from which the sign of the radius difference
+    matches the certificate for all larger tested n (the observed onset).
     """
     if s_size < 1:
         raise GraphError("clique side must have at least one vertex")
@@ -434,14 +436,11 @@ def verify_one_set(s_size, t_size, host1, host2, n_range, tol=ORACLE_AGREEMENT):
             f"n must be at least s_size + t_size = {s_size + t_size}"
         )
 
-    diffs = []
-    for n in ns:
-        p = n - s_size
-        g1 = join(complete(s_size), h1.add_isolated(p - t_size))
-        g2 = join(complete(s_size), h2.add_isolated(p - t_size))
-        r1 = _radius(g1).rho
-        r2 = _radius(g2).rho
-        diffs.append((n, r1 - r2))
+    def radius(host, n):
+        parts = (1,) * s_size + (n - s_size,)
+        return _radius(MultipartiteEmbedding(parts, (None,) * s_size + (host,)))[0].rho
+
+    diffs = [(n, radius(h1, n) - radius(h2, n)) for n in ns]
 
     if cert.ordering is Ordering.EQUAL:
         ok_all = all(abs(d) <= tol for _, d in diffs)
@@ -479,12 +478,13 @@ def verify_one_set(s_size, t_size, host1, host2, n_range, tol=ORACLE_AGREEMENT):
 
 def verify_multi_set(embedding, tol=1e-8):
     """Check the series identity at the measured spectral radius and the
-    agreement of the series solver with power iteration.
+    agreement of the series solver with power iteration, which runs on the
+    embedding's twin-class quotient.
 
     Inapplicable (not a failure) when the radius does not exceed the max
     host degree: the identity is only asserted above it.
     """
-    measured = _radius(embedding.realize())
+    measured, _ = _radius(embedding)
     target = float(embedding.r - 1)
     params = {
         "parts": embedding.part_sizes,  # immutable; shared, not copied
@@ -533,7 +533,7 @@ def _expected_tnrk_host(k):
     return complete(3) if k == 4 else star(k)
 
 
-def verify_corollary_tnrk(n, r, k, cross_check=True):
+def verify_corollary_tnrk(n, r, k):
     """Check that the unique spectral-radius maximizer among t = k-1 embedded
     edges is the expected host (triangle at k = 4, star otherwise) placed in
     a smallest part."""
@@ -552,7 +552,7 @@ def verify_corollary_tnrk(n, r, k, cross_check=True):
             details={"reason": "expected host does not fit a smallest part"},
         )
     family = enumerate_embeddings(n, r, t)
-    detail = _spex_detail(family.members, cross_check=cross_check)
+    detail = _spex_detail(family.members)
 
     hosts = [None] * r
     hosts[0] = expected_host

@@ -491,6 +491,22 @@ class MultipartiteEmbedding:
             start += size
         return Graph(adj)
 
+    def quotient(self):
+        """Twin-class quotient ``(q, sizes)``: host vertices are singleton
+        classes and the rest of each part is one class of false twins, an
+        equitable partition.  ``q``, of order at most r + sum |V(H_s)| at any
+        n, has the realized graph's spectral radius: sqrt(|a| |b|) between
+        classes of different parts, the host adjacency inside a part.
+        """
+        cut, sizes = [], []
+        for size, host in zip(self.part_sizes, self.hosts):
+            k = 0 if host is None else host.n
+            cut.append(k + (size > k))
+            sizes += [1] * k + [size - k] * (size > k)
+        sizes = np.array(sizes, dtype=float)
+        q = MultipartiteEmbedding(cut, self.hosts).realize().adjacency(float)
+        return q * np.sqrt(np.outer(sizes, sizes)), sizes
+
     def key(self, limit=DEFAULT_CANON_LIMIT):
         """Equivalence key: parts of equal size are interchangeable and host
         placement inside a part is label-free."""

@@ -15,7 +15,9 @@ from .errors import SpectralError
 __all__ = [
     "SpectralResult",
     "rho_power",
+    "power_radius",
     "rho_dense",
+    "dense_radius",
     "perron_normalized",
     "DENSE_LIMIT",
 ]
@@ -46,28 +48,34 @@ class SpectralResult:
 
 
 def rho_power(g, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
-    """Spectral radius by power iteration on A + I from the all-ones vector.
+    """Spectral radius of g by :func:`power_radius`, one vertex per class."""
+    return power_radius(g.adjacency(float), [1] * g.n, tol, max_iterations)
 
-    The +1 shift makes the top of the spectrum strictly dominant even for
-    bipartite graphs (whose spectra are symmetric), so the iteration
-    converges unconditionally from a positive start.  The reported value is
-    the Rayleigh quotient of A, which is quadratically accurate in the
-    iterate.  Disconnected input converges on a dominant component.
+
+def power_radius(a, sizes, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
+    """Spectral radius by power iteration on a + I from the all-ones vector.
+
+    ``a`` is a graph's symmetric quotient by an equitable partition with
+    class sizes ``sizes``; iterate entry c is sqrt(|c|) times each class-c
+    vertex entry, so the start and the residual (entry c over sqrt(|c|))
+    are the graph's own.  The +1 shift makes the top of the spectrum
+    strictly dominant even for bipartite graphs, so the iteration converges
+    from any positive start; the Rayleigh quotient of a is quadratically
+    accurate.  Disconnected input converges on a dominant component.
     """
     if tol <= 0:
         raise SpectralError("tolerance must be positive")
-    n = g.n
-    if n == 0:
+    if len(sizes) == 0:
         return SpectralResult(0.0, np.zeros(0), 0.0, 0, "power")
-    a = g.adjacency(float)
-    x = np.full(n, 1.0 / math.sqrt(n))
+    root = np.sqrt(sizes)
+    x = root / math.sqrt(sum(sizes))
     rho = 0.0
     res = math.inf
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         ax = a @ x
         rho = float(x @ ax)
-        res = float(np.abs(ax - rho * x).max())
+        res = float((np.abs(ax - rho * x) / root).max())
         if res <= tol:
             return SpectralResult(rho, x, res, iterations, "power")
         y = ax + x
@@ -141,6 +149,11 @@ def rho_dense(g):
         vec = vec / nrm
     res = float(np.abs(g.adjacency(float) @ vec - rho * vec).max())
     return SpectralResult(rho, vec, res, sweeps, "dense")
+
+
+def dense_radius(a):
+    """Largest eigenvalue of a symmetric matrix, by the Jacobi oracle."""
+    return float(max(_jacobi_eigh(a)[0], default=0.0))
 
 
 def perron_normalized(g, subset, tol=DEFAULT_TOL):

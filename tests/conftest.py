@@ -5,9 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from walkspectra import Graph
 from walkspectra.walks import walk_totals
+
+# A shared machine's speed drifts by tens of percent, so a per-example
+# deadline would measure the machine rather than the code.
+settings.register_profile("walkspectra", deadline=None)
+settings.load_profile("walkspectra")
 
 
 def naive_walk_totals(g, depth):

@@ -232,6 +232,14 @@ class TestVerify:
         assert rep["onset"] is not None
         assert len(rep["per_n"]) == 9
 
+    @pytest.mark.parametrize(
+        "bounds", [["--n-max", "0"], ["--n-min", "10", "--n-max", "5"]]
+    )
+    def test_cor_tnrk_empty_range(self, capsys, bounds):
+        argv = ["verify", "--theorem", "cor-tnrk", "--r", "2", "--k", "3", *bounds]
+        assert main(argv) == EXIT_USAGE
+        assert "empty n range" in capsys.readouterr().err
+
     def test_missing_options(self, capsys):
         assert main(["verify", "--theorem", "lemma-2degree"]) == EXIT_USAGE
 
@@ -243,6 +251,18 @@ class TestInputsAndErrors:
         code = main(["walks", "--graph", str(bad), "--depth", "2"])
         assert code == EXIT_USAGE
         assert "line 3" in capsys.readouterr().err
+
+    def test_several_graph6_lines_rejected(self, capsys, tmp_path):
+        two = tmp_path / "two.g6"
+        two.write_text("Bw\nBo\n")
+        assert main(["walks", "--graph", str(two), "--depth", "2"]) == EXIT_USAGE
+        assert "2 graph6 lines" in capsys.readouterr().err
+
+    def test_repeated_host_rejected(self, capsys):
+        argv = ["solve-series", "--parts", "5,5",
+                "--host", "1=star:4", "--host", "1=complete:3"]
+        assert main(argv) == EXIT_USAGE
+        assert "more than one host" in capsys.readouterr().err
 
     def test_unknown_family(self, capsys):
         assert main(["walks", "--family", "hypercube:4", "--depth", "2"]) == EXIT_USAGE

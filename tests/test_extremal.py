@@ -14,6 +14,7 @@ from walkspectra import (
     disjoint_union,
     path,
     rho_power,
+    solve_rho_series,
     star,
     to_graph6,
 )
@@ -150,6 +151,17 @@ class TestEnumerateMEdge:
         assert len(cache.read_text().splitlines()) == 11
         assert [p.name for p in tmp_path.iterdir()] == ["m_edge_4.g6"]
 
+    def test_isolated_vertex_cache_regenerated(self, tmp_path):
+        # Cg is P3 plus an isolated vertex: two edges, right class count.
+        cache = tmp_path / "m_edge_2.g6"
+        full = enumerate_m_edge(2, cache_dir=str(tmp_path)).members
+        text = cache.read_text()
+        assert "Bo\n" in text
+        cache.write_text(text.replace("Bo\n", "Cg\n"))
+        fam = enumerate_m_edge(2, cache_dir=str(tmp_path))
+        assert fam.members == full
+        assert cache.read_text() == text
+
     def test_padded_family(self):
         fam = enumerate_m_edge_order(8, 3)
         assert all(g.n == 8 for g in fam)
@@ -223,6 +235,14 @@ class TestSpex:
         assert len(hosts) == 1
         assert canonical_form(hosts[0]) == canonical_form(complete(3))
 
+    def test_oracle_disagreement_raises(self, monkeypatch):
+        real = extremal.dense_radius
+        monkeypatch.setattr(extremal, "dense_radius", lambda a: real(a) + 1e-6)
+        with pytest.raises(SpectralError, match="oracles disagree"):
+            spex(enumerate_embeddings(30, 2, 3))
+        with pytest.raises(SpectralError, match="oracles disagree"):
+            spex(enumerate_m_edge(3))
+
     def test_agrees_with_library_eigensolver(self, rng):
         members = enumerate_m_edge(4).members
         by_eig = max(members, key=eig_rho)
@@ -290,6 +310,22 @@ class TestVerifyOneSet:
         with pytest.raises(GraphError):
             verify_one_set(2, 3, star(4), complete(3), range(7, 10))
 
+    def test_large_n_inside_series_brackets(self):
+        # Too large for any full-graph eigensolver; the certified series
+        # brackets are the independent oracle.
+        n, s, t = 10_000, 3, 4
+        rep = verify_one_set(s, t, complete(3), star(4), [n])
+        assert rep.passed
+        brackets = []
+        for h in (complete(3).add_isolated(1), star(4)):
+            e = MultipartiteEmbedding((1,) * s + (n - s,), (None,) * s + (h,))
+            rho = extremal._radius(e)[0].rho
+            lo, hi = solve_rho_series(e).bracket
+            assert lo <= rho <= hi
+            brackets.append((lo, hi))
+        (lo1, hi1), (lo2, hi2) = brackets
+        assert lo1 - hi2 <= rep.details["diffs"][0][1] <= hi1 - lo2
+
 
 class TestVerifyMultiSet:
     def test_hostless(self):
@@ -328,12 +364,12 @@ class TestVerifyMultiSet:
 
 class TestPowerIterationConvergence:
     def test_unconverged_radius_raises(self, monkeypatch):
-        real = extremal.rho_power
+        real = extremal.power_radius
 
-        def stalled(g, tol=1e-12):
-            return dataclasses.replace(real(g, tol=tol), converged=False)
+        def stalled(a, sizes, tol=1e-12):
+            return dataclasses.replace(real(a, sizes, tol=tol), converged=False)
 
-        monkeypatch.setattr(extremal, "rho_power", stalled)
+        monkeypatch.setattr(extremal, "power_radius", stalled)
         with pytest.raises(SpectralError, match="did not converge"):
             verify_multi_set(MultipartiteEmbedding((3, 3), (complete(2), None)))
         with pytest.raises(SpectralError, match="did not converge"):

@@ -63,7 +63,7 @@ class TestEdgeList:
 
 class TestGraph6:
     @given(graphs())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_round_trip(self, g):
         assert from_graph6(to_graph6(g)) == g
 

@@ -19,6 +19,18 @@ from walkspectra import (
     turan,
 )
 from walkspectra.graphs import turan_part_sizes
+from walkspectra.spectral import power_radius
+
+from conftest import eig_rho
+
+
+@st.composite
+def embeddings(draw):
+    """Up to four parts of up to 40 vertices, each with an arbitrary host
+    (isolated vertices allowed) of up to 6 vertices, or none."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=4))
+    hosts = [draw(st.none() | graphs(max_n=min(size, 6))) for size in sizes]
+    return MultipartiteEmbedding(sizes, hosts)
 
 
 @st.composite
@@ -105,12 +117,12 @@ class TestCombinators:
         assert g.num_edges == 2
 
     @given(graphs())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_complement_involution(self, g):
         assert complement(complement(g)) == g
 
     @given(graphs())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_degree_sum(self, g):
         assert sum(g.degrees) == 2 * g.num_edges
 
@@ -216,6 +228,29 @@ class TestEmbedding:
                     for u in rng_i:
                         for v in e.part_range(j):
                             assert g.has_edge(u, v)
+
+    @given(embeddings())
+    @settings(max_examples=80)
+    def test_quotient_radius_matches_realized_graph(self, e):
+        q, sizes = e.quotient()
+        assert len(sizes) <= e.r + sum(h.n for h in e.hosts if h is not None)
+        assert sizes.sum() == e.n
+        res = power_radius(q, sizes)
+        assert res.converged
+        assert abs(res.rho - eig_rho(e.realize())) <= 1e-9
+
+    def test_quotient_of_k1_k3_host(self):
+        # K_{1,3} with a triangle in its large part is K4: classes {0}, and
+        # the three host vertices.
+        q, sizes = MultipartiteEmbedding((1, 3), (None, complete(3))).quotient()
+        assert sizes.tolist() == [1, 1, 1, 1]
+        assert q.tolist() == complete(4).adjacency(float).tolist()
+
+    def test_quotient_merges_twins(self):
+        q, sizes = MultipartiteEmbedding((4, 9), (path(2), None)).quotient()
+        assert sizes.tolist() == [1, 1, 2, 9]
+        assert q[3, 2] == q[2, 3] == pytest.approx(18**0.5)
+        assert q[0, 1] == 1 and q[0, 2] == q[1, 2] == 0
 
     def test_equal_size_parts_interchangeable(self):
         a = MultipartiteEmbedding((3, 3), (path(3), None))

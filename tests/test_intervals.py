@@ -44,7 +44,7 @@ class TestConstruction:
 
 class TestArithmetic:
     @given(finite, finite, finite, finite)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_add_sub_mul_enclose(self, a, b, c, d):
         x = Ival(min(a, b), max(a, b))
         y = Ival(min(c, d), max(c, d))
@@ -59,7 +59,7 @@ class TestArithmetic:
                 assert Fraction(dsub.lo) <= fa - fb <= Fraction(dsub.hi)
 
     @given(finite, finite, positive, positive)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_div_encloses(self, a, b, c, d):
         x = Ival(min(a, b), max(a, b))
         y = Ival(min(c, d), max(c, d))
@@ -84,7 +84,7 @@ class TestArithmetic:
         st.floats(min_value=1e-6, max_value=1e5, allow_nan=False, allow_infinity=False),
         st.integers(min_value=0, max_value=40),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_powers_enclose(self, base, k):
         pw = powers(Ival(base), k)
         want = Fraction(base) ** k

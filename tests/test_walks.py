@@ -51,14 +51,14 @@ class TestWalkProfile:
         assert walk_profile(g, 1).counts(1) == g.degrees
 
     @given(graphs())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_identities(self, g):
         prof = walk_profile(g, 2)
         assert prof.total(1) == 2 * g.num_edges
         assert prof.total(2) == sum(d * d for d in g.degrees)
 
     @given(graphs(max_n=6), st.integers(min_value=1, max_value=5))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_against_matrix_power_oracle(self, g, depth):
         assert walk_totals(g, depth) == naive_walk_totals(g, depth)
 
