@@ -2,8 +2,11 @@
 solving, enumeration, and theorem verification with machine-readable
 reports.
 
+Each mode of a subcommand reads the flags that ``_MODES`` lists for it, plus
+--format and --cache-dir; any other flag given is a usage error.
+
 Exit codes: 0 success or verification pass, 1 verification failure,
-2 usage or input-format error, 3 theorem hypothesis not met.
+2 usage, input-format or unreadable-file error, 3 theorem hypothesis not met.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,17 +56,6 @@ EXIT_INAPPLICABLE = 3
 
 DEFAULT_TOLERANCE = 1e-10
 CACHE_ENV = "WALKSPECTRA_CACHE"
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: subcommand, its options, and shared settings."""
-
-    subcommand: str
-    options: dict = field(default_factory=dict)
-    tolerance: float = DEFAULT_TOLERANCE
-    fmt: str = "json"
-    cache_dir: str | None = None
 
 
 # ---- graph input ------------------------------------------------------------
@@ -254,27 +245,27 @@ def _vector_list(vec):
 
 
 # ---- subcommand handlers -----------------------------------------------------
+#
+# A handler takes the parsed namespace, in which every flag its mode reads is
+# set (to its default when not given), and returns (exit code, report).
 
 
-def _cmd_walks(config):
-    opts = config.options
-    g = opts["graph"]
-    depth = opts["depth"]
-    prof = walk_profile(g, depth)
+def _cmd_walks(args):
+    g = _graph_from_args(args)
+    prof = walk_profile(g, args.depth)
     report = {
         "n": g.n,
         "m": g.num_edges,
-        "depth": depth,
+        "depth": args.depth,
         "totals": list(prof.totals),
     }
-    if opts.get("per_vertex"):
+    if args.per_vertex:
         report["per_vertex"] = [list(level) for level in prof.per_vertex]
     return EXIT_OK, report
 
 
-def _cmd_compare(config):
-    g1, g2 = config.options["g1"], config.options["g2"]
-    cert = walk_compare(g1, g2)
+def _cmd_compare(args):
+    cert = walk_compare(load_graph(args.g1), load_graph(args.g2))
     return EXIT_OK, {
         "ordering": cert.ordering.value,
         "witness": cert.witness_index,
@@ -297,37 +288,32 @@ def _spectral_report(result):
     return report
 
 
-def _cmd_rho(config):
-    opts = config.options
-    method = opts["method"]
-    if method == "series":
-        emb = opts.get("embedding")
-        if emb is None:
-            raise FormatError("--method series needs --parts (and optional --host)")
-        result = solve_rho_series(emb, tol=config.tolerance)
-        return EXIT_OK, _spectral_report(result)
-    g = opts["graph"]
-    if method == "dense":
-        result = rho_dense(g)
+def _cmd_rho(args):
+    if args.method == "series":
+        result = solve_rho_series(build_embedding(args.parts, args.host), tol=args.tol)
+    elif args.method == "dense":
+        result = rho_dense(_graph_from_args(args))
     else:
-        result = rho_power(g, tol=min(config.tolerance, 1e-12))
+        result = rho_power(_graph_from_args(args), tol=min(args.tol, 1e-12))
     return EXIT_OK, _spectral_report(result)
 
 
-def _cmd_perron(config):
-    opts = config.options
-    g = opts["graph"]
-    subset = opts["subset"]
-    result = perron_normalized(g, subset, tol=min(config.tolerance, 1e-12))
+def _cmd_perron(args):
+    g = _graph_from_args(args)
+    try:
+        subset = [int(x) for x in args.subset.split(",") if x != ""]
+    except ValueError:
+        raise FormatError(f"non-integer subset {args.subset!r}") from None
+    result = perron_normalized(g, subset, tol=min(args.tol, 1e-12))
     report = _spectral_report(result)
     report["subset"] = subset
     report["vector"] = _vector_list(result.vector)
     return EXIT_OK, report
 
 
-def _cmd_solve_series(config):
-    emb = config.options["embedding"]
-    result = solve_rho_series(emb, tol=config.tolerance)
+def _cmd_solve_series(args):
+    emb = build_embedding(args.parts, args.host)
+    result = solve_rho_series(emb, tol=args.tol)
     return EXIT_OK, {
         "rho": result.rho,
         "depth_used": result.depth,
@@ -339,17 +325,21 @@ def _cmd_solve_series(config):
     }
 
 
-def _cmd_enumerate(config):
-    opts = config.options
-    if opts.get("m_edges") is not None:
-        fam = enumerate_m_edge(opts["m_edges"], cache_dir=config.cache_dir)
+def _cmd_enumerate(args):
+    if (args.m_edges is None) == (args.embeddings is None):
+        raise FormatError("enumerate needs exactly one of --m-edges/--embeddings")
+    if args.m_edges is not None:
+        fam = enumerate_m_edge(args.m_edges, cache_dir=args.cache_dir)
         return EXIT_OK, {
             "descriptor": fam.descriptor,
             "count": len(fam),
             "graphs": [to_graph6(g) for g in fam],
         }
-    n, r, t = opts["embeddings"]
-    fam = enumerate_embeddings(n, r, t, cache_dir=config.cache_dir)
+    try:
+        n, r, t = (int(x) for x in args.embeddings.split(","))
+    except ValueError:
+        raise FormatError("--embeddings expects n,r,t") from None
+    fam = enumerate_embeddings(n, r, t, cache_dir=args.cache_dir)
     members = [
         {
             "parts": list(e.part_sizes),
@@ -360,20 +350,23 @@ def _cmd_enumerate(config):
     return EXIT_OK, {"descriptor": fam.descriptor, "count": len(fam), "members": members}
 
 
-def _cmd_exfilter(config):
-    opts = config.options
-    if opts.get("m_edges") is not None:
-        members = enumerate_m_edge(opts["m_edges"], cache_dir=config.cache_dir).members
-        source = f"m-edge:m={opts['m_edges']}"
+def _cmd_exfilter(args):
+    if (args.m_edges is None) == (args.family_file is None):
+        raise FormatError("exfilter needs exactly one of --m-edges/--family-file")
+    if args.infinity == (args.level is not None):
+        raise FormatError("exfilter needs exactly one of --level/--infinity")
+    if args.m_edges is not None:
+        members = enumerate_m_edge(args.m_edges, cache_dir=args.cache_dir).members
+        source = f"m-edge:m={args.m_edges}"
     else:
-        members = read_graph6(opts["family_file"])
-        source = opts["family_file"]
-    if opts.get("infinity"):
+        members = read_graph6(args.family_file)
+        source = args.family_file
+    if args.infinity:
         survivors = ex_infinity(members)
         level = "infinity"
     else:
-        survivors = ex_filter(members, opts["level"])
-        level = opts["level"]
+        survivors = ex_filter(members, args.level)
+        level = args.level
     return EXIT_OK, {
         "source": source,
         "level": level,
@@ -391,73 +384,158 @@ def _report_exit(reports):
     return EXIT_INAPPLICABLE
 
 
-def _cmd_verify(config):
-    opts = config.options
-    theorem = opts["theorem"]
-    if theorem == "lemma-2degree":
-        rep = verify_lemma_2degree(opts["n"], opts["m"])
-        return _report_exit([rep.as_dict()]), rep.as_dict()
-    if theorem == "cor-2inf":
-        rep = verify_corollary_2inf(opts["m"])
-        return _report_exit([rep.as_dict()]), rep.as_dict()
-    if theorem == "one-set":
-        rep = verify_one_set(
-            opts["s_size"],
-            opts["t_size"],
-            opts["h1"],
-            opts["h2"],
-            range(opts["n_min"], opts["n_max"] + 1),
-        )
-        return _report_exit([rep.as_dict()]), rep.as_dict()
-    if theorem == "multi-set":
-        if opts.get("sample"):
-            rng = random.Random(opts["seed"])
-            reports = []
-            for _ in range(opts["sample"]):
-                emb = sample_embedding(rng, cache_dir=config.cache_dir)
-                reports.append(verify_multi_set(emb, tol=max(config.tolerance, 1e-8)).as_dict())
-            body = {
-                "theorem": "multi-set",
-                "seed": opts["seed"],
-                "sample": opts["sample"],
-                "verdicts": {
-                    v: sum(1 for r in reports if r["verdict"] == v)
-                    for v in ("pass", "fail", "inapplicable")
-                },
-                "reports": reports,
-            }
-            return _report_exit(reports), body
-        emb = opts.get("embedding")
-        if emb is None:
-            raise FormatError("verify multi-set needs --parts/--host or --sample")
-        rep = verify_multi_set(emb, tol=max(config.tolerance, 1e-8))
-        return _report_exit([rep.as_dict()]), rep.as_dict()
-    if theorem == "cor-tnrk":
-        if opts["n_max"] is not None:
-            reports = []
-            onset = None
-            for n in range(opts["n_min"], opts["n_max"] + 1):
-                rep = verify_corollary_tnrk(n, opts["r"], opts["k"]).as_dict()
-                reports.append(rep)
-                onset = None if rep["verdict"] != "pass" else (onset if onset is not None else n)
-            body = {
-                "theorem": "cor-tnrk",
-                "r": opts["r"],
-                "k": opts["k"],
-                "n_min": opts["n_min"],
-                "n_max": opts["n_max"],
-                "onset": onset,
-                "per_n": [
-                    {"n": r["parameters"]["n"], "verdict": r["verdict"]} for r in reports
-                ],
-            }
-            return _report_exit(reports), body
-        rep = verify_corollary_tnrk(opts["n"], opts["r"], opts["k"])
-        return _report_exit([rep.as_dict()]), rep.as_dict()
-    raise FormatError(f"unknown theorem {theorem!r}")
+def _single(report):
+    body = report.as_dict()
+    return _report_exit([body]), body
+
+
+def _verify_lemma_2degree(args):
+    return _single(verify_lemma_2degree(args.n, args.m))
+
+
+def _verify_cor_2inf(args):
+    return _single(verify_corollary_2inf(args.m))
+
+
+def _verify_one_set(args):
+    h1, h2 = load_graph(args.h1), load_graph(args.h2)
+    n_range = range(args.n_min, args.n_max + 1)
+    return _single(verify_one_set(args.s_size, args.t_size, h1, h2, n_range))
+
+
+def _verify_multi_set(args):
+    emb = build_embedding(args.parts, args.host)
+    return _single(verify_multi_set(emb, tol=max(args.tol, 1e-8)))
+
+
+def _verify_multi_set_sample(args):
+    if args.sample < 1:
+        raise FormatError("--sample must be at least 1")
+    rng = random.Random(args.seed)
+    reports = []
+    for _ in range(args.sample):
+        emb = sample_embedding(rng, cache_dir=args.cache_dir)
+        reports.append(verify_multi_set(emb, tol=max(args.tol, 1e-8)).as_dict())
+    body = {
+        "theorem": "multi-set",
+        "seed": args.seed,
+        "sample": args.sample,
+        "verdicts": {
+            v: sum(1 for r in reports if r["verdict"] == v)
+            for v in ("pass", "fail", "inapplicable")
+        },
+        "reports": reports,
+    }
+    return _report_exit(reports), body
+
+
+def _verify_tnrk(args):
+    return _single(verify_corollary_tnrk(args.n, args.r, args.k))
+
+
+def _verify_tnrk_scan(args):
+    n_min = args.r * args.k if args.n_min is None else args.n_min
+    if args.n_max < n_min:
+        raise FormatError(f"empty n range {n_min}..{args.n_max}")
+    reports = []
+    onset = None
+    for n in range(n_min, args.n_max + 1):
+        rep = verify_corollary_tnrk(n, args.r, args.k).as_dict()
+        reports.append(rep)
+        onset = None if rep["verdict"] != "pass" else (onset if onset is not None else n)
+    body = {
+        "theorem": "cor-tnrk",
+        "r": args.r,
+        "k": args.k,
+        "n_min": n_min,
+        "n_max": args.n_max,
+        "onset": onset,
+        "per_n": [{"n": r["parameters"]["n"], "verdict": r["verdict"]} for r in reports],
+    }
+    return _report_exit(reports), body
 
 
 # ---- argument parsing ---------------------------------------------------------
+
+_GRAPH = ("graph", "graph6", "family")
+
+# The one table of accepted flags.  A mode is a subcommand, narrowed by
+# rho's --method, verify's --theorem, and whether multi-set has --sample and
+# cor-tnrk has --n.  Each mode maps to its handler, the flags it requires
+# and the other flags it reads (by argparse dest).  Any other flag given is
+# rejected; --format and --cache-dir are taken by every mode.
+_MODES = {
+    "walks": (_cmd_walks, (), (*_GRAPH, "depth", "per_vertex")),
+    "compare": (_cmd_compare, ("g1", "g2"), ()),
+    "rho --method power": (_cmd_rho, (), (*_GRAPH, "tol")),
+    "rho --method dense": (_cmd_rho, (), _GRAPH),
+    "rho --method series": (_cmd_rho, ("parts",), ("host", "tol")),
+    "perron": (_cmd_perron, ("subset",), (*_GRAPH, "tol")),
+    "solve-series": (_cmd_solve_series, ("parts",), ("host", "tol")),
+    "enumerate": (_cmd_enumerate, (), ("m_edges", "embeddings")),
+    "exfilter": (_cmd_exfilter, (), ("m_edges", "family_file", "level", "infinity")),
+    "verify --theorem lemma-2degree": (_verify_lemma_2degree, ("n", "m"), ()),
+    "verify --theorem cor-2inf": (_verify_cor_2inf, ("m",), ()),
+    "verify --theorem one-set": (
+        _verify_one_set, ("s_size", "t_size", "h1", "h2", "n_min", "n_max"), ()
+    ),
+    "verify --theorem multi-set with --sample": (
+        _verify_multi_set_sample, ("sample",), ("seed", "tol")
+    ),
+    "verify --theorem multi-set without --sample": (
+        _verify_multi_set, ("parts",), ("host", "tol")
+    ),
+    "verify --theorem cor-tnrk with --n": (_verify_tnrk, ("n", "r", "k"), ()),
+    "verify --theorem cor-tnrk without --n": (
+        _verify_tnrk_scan, ("r", "k", "n_max"), ("n_min",)
+    ),
+}
+
+# Defaults of the optional flags; any other flag a mode reads defaults to None.
+_DEFAULTS = {
+    "depth": 10, "per_vertex": False, "infinity": False, "seed": 0,
+    "tol": DEFAULT_TOLERANCE,
+}
+
+# Set in every namespace: the subcommand, the mode selectors, the shared flags.
+_ALWAYS = {"subcommand", "method", "theorem", "format", "cache_dir"}
+
+
+def _mode(args):
+    if args.subcommand == "rho":
+        return f"rho --method {args.method}"
+    if args.subcommand != "verify":
+        return args.subcommand
+    mode = f"verify --theorem {args.theorem}"
+    switch = {"multi-set": "sample", "cor-tnrk": "n"}.get(args.theorem)
+    if switch is None:
+        return mode
+    return f"{mode} {'with' if switch in args else 'without'} --{switch}"
+
+
+def _flags(dests):
+    return ", ".join("--" + d.replace("_", "-") for d in dests)
+
+
+def _handler(args):
+    """The handler of the invocation's mode, after checking that the mode
+    reads every flag given and gets every flag it requires; the optional
+    flags not given are set to their defaults."""
+    mode = _mode(args)
+    handler, required, optional = _MODES[mode]
+    given = set(vars(args)) - _ALWAYS
+    unread = sorted(given.difference(required, optional))
+    if unread:
+        raise FormatError(f"{mode} does not read {_flags(unread)}")
+    missing = [d for d in required if d not in given]
+    if missing:
+        raise FormatError(f"{mode} needs {_flags(missing)}")
+    for dest in optional:
+        vars(args).setdefault(dest, _DEFAULTS.get(dest))
+    if "tol" in args and not args.tol > 0:
+        raise FormatError("tolerance must be positive")
+    args.cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+    return handler
 
 
 def _add_graph_options(sub):
@@ -477,54 +555,54 @@ def build_parser():
         "--format", choices=("json", "table", "csv"), default="json",
         help="report format (default json)",
     )
-    common.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                         help="numerical tolerance (default 1e-10)")
     common.add_argument("--cache-dir",
                         help=f"enumeration cache directory (or ${CACHE_ENV})")
 
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser("walks", parents=[common], help="exact walk counts")
+    def add(name, help_):
+        # A flag not given stays out of the namespace: _handler sees what was given.
+        return subs.add_parser(name, parents=[common], help=help_,
+                               argument_default=argparse.SUPPRESS)
+
+    p = add("walks", "exact walk counts")
     _add_graph_options(p)
-    p.add_argument("--depth", type=int, default=10,
+    p.add_argument("--depth", type=int,
                    help="longest walk length counted (default 10)")
     p.add_argument("--per-vertex", action="store_true")
 
-    p = subs.add_parser("compare", parents=[common],
-                        help="walk-preference comparison of two graphs")
-    p.add_argument("--g1", required=True, help="file, family spec, or graph6")
-    p.add_argument("--g2", required=True, help="file, family spec, or graph6")
+    p = add("compare", "walk-preference comparison of two graphs")
+    p.add_argument("--g1", help="file, family spec, or graph6")
+    p.add_argument("--g2", help="file, family spec, or graph6")
 
-    p = subs.add_parser("rho", parents=[common], help="spectral radius")
+    p = add("rho", "spectral radius")
     _add_graph_options(p)
     p.add_argument("--method", choices=("power", "dense", "series"), default="power")
     p.add_argument("--parts", help="part sizes for --method series")
     p.add_argument("--host", action="append",
                    help="part=GRAPH host spec for --method series")
 
-    p = subs.add_parser("perron", parents=[common],
-                        help="Perron vector with subset normalization")
+    p = add("perron", "Perron vector with subset normalization")
     _add_graph_options(p)
-    p.add_argument("--subset", required=True, help="comma-separated vertex ids")
+    p.add_argument("--subset", help="comma-separated vertex ids")
 
-    p = subs.add_parser("solve-series", parents=[common],
-                        help="spectral radius from the series equation")
-    p.add_argument("--parts", required=True, help="comma-separated part sizes")
+    p = add("solve-series", "spectral radius from the series equation")
+    p.add_argument("--parts", help="comma-separated part sizes")
     p.add_argument("--host", action="append", help="part=GRAPH host spec")
 
-    p = subs.add_parser("enumerate", parents=[common],
-                        help="enumerate graph or embedding families")
+    p = add("enumerate", "enumerate graph or embedding families")
     p.add_argument("--m-edges", type=int, help="m-edge classes, no isolated vertices")
     p.add_argument("--embeddings", help="n,r,t embedding family")
 
-    p = subs.add_parser("exfilter", parents=[common],
-                        help="iterated most-walks filter")
+    p = add("exfilter", "iterated most-walks filter")
     p.add_argument("--m-edges", type=int)
     p.add_argument("--family-file", help="graph6 lines file")
     p.add_argument("--level", type=int)
     p.add_argument("--infinity", action="store_true")
 
-    p = subs.add_parser("verify", parents=[common], help="run a theorem verifier")
+    p = add("verify", "run a theorem verifier")
     p.add_argument("--theorem", required=True,
                    choices=("lemma-2degree", "cor-2inf", "one-set", "multi-set", "cor-tnrk"))
     p.add_argument("--n", type=int)
@@ -540,148 +618,23 @@ def build_parser():
     p.add_argument("--parts", help="part sizes for multi-set")
     p.add_argument("--host", action="append", help="part=GRAPH host spec")
     p.add_argument("--sample", type=int, help="verify N random embeddings")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for --sample (default 0)")
+    p.add_argument("--seed", type=int, help="seed for --sample (default 0)")
 
     return parser
 
 
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise FormatError(
-            "missing required option(s): " + ", ".join(f"--{n}" for n in missing)
-        )
-
-
-def config_from_args(args):
-    config = RunConfig(
-        subcommand=args.subcommand,
-        tolerance=args.tol,
-        fmt=args.format,
-        cache_dir=args.cache_dir or os.environ.get(CACHE_ENV),
-    )
-    if config.tolerance <= 0:
-        raise FormatError("tolerance must be positive")
-    opts = config.options
-
-    if args.subcommand == "walks":
-        opts["graph"] = _graph_from_args(args)
-        opts["per_vertex"] = args.per_vertex
-        if args.depth < 1:
-            raise FormatError("--depth must be at least 1")
-        opts["depth"] = args.depth
-    elif args.subcommand == "compare":
-        opts["g1"] = load_graph(args.g1)
-        opts["g2"] = load_graph(args.g2)
-    elif args.subcommand == "rho":
-        opts["method"] = args.method
-        if args.method == "series":
-            _require(args, ["parts"])
-            opts["embedding"] = build_embedding(args.parts, args.host)
-        else:
-            opts["graph"] = _graph_from_args(args)
-    elif args.subcommand == "perron":
-        opts["graph"] = _graph_from_args(args)
-        try:
-            opts["subset"] = [int(x) for x in args.subset.split(",") if x != ""]
-        except ValueError:
-            raise FormatError(f"non-integer subset {args.subset!r}") from None
-    elif args.subcommand == "solve-series":
-        opts["embedding"] = build_embedding(args.parts, args.host)
-    elif args.subcommand == "enumerate":
-        if (args.m_edges is None) == (args.embeddings is None):
-            raise FormatError("enumerate needs exactly one of --m-edges/--embeddings")
-        if args.m_edges is not None:
-            opts["m_edges"] = args.m_edges
-        else:
-            try:
-                n, r, t = (int(x) for x in args.embeddings.split(","))
-            except ValueError:
-                raise FormatError("--embeddings expects n,r,t") from None
-            opts["embeddings"] = (n, r, t)
-    elif args.subcommand == "exfilter":
-        if (args.m_edges is None) == (args.family_file is None):
-            raise FormatError("exfilter needs exactly one of --m-edges/--family-file")
-        if args.m_edges is not None:
-            opts["m_edges"] = args.m_edges
-        else:
-            opts["family_file"] = args.family_file
-        if args.infinity == (args.level is not None):
-            raise FormatError("exfilter needs exactly one of --level/--infinity")
-        opts["infinity"] = args.infinity
-        opts["level"] = args.level
-    elif args.subcommand == "verify":
-        opts["theorem"] = args.theorem
-        if args.theorem == "lemma-2degree":
-            _require(args, ["n", "m"])
-            opts.update(n=args.n, m=args.m)
-        elif args.theorem == "cor-2inf":
-            _require(args, ["m"])
-            opts.update(m=args.m)
-        elif args.theorem == "one-set":
-            _require(args, ["s-size", "t-size", "h1", "h2", "n-min", "n-max"])
-            opts.update(
-                s_size=args.s_size,
-                t_size=args.t_size,
-                h1=load_graph(args.h1),
-                h2=load_graph(args.h2),
-                n_min=args.n_min,
-                n_max=args.n_max,
-            )
-        elif args.theorem == "multi-set":
-            if args.sample:
-                opts.update(sample=args.sample, seed=args.seed)
-            else:
-                _require(args, ["parts"])
-                opts["embedding"] = build_embedding(args.parts, args.host)
-        elif args.theorem == "cor-tnrk":
-            _require(args, ["r", "k"])
-            if args.n is None and args.n_max is None:
-                raise FormatError("cor-tnrk needs --n or --n-max")
-            n_min = args.r * args.k if args.n_min is None else args.n_min
-            if args.n_max is not None and args.n_max < n_min:
-                raise FormatError(f"empty n range {n_min}..{args.n_max}")
-            opts.update(n=args.n, r=args.r, k=args.k, n_min=n_min, n_max=args.n_max)
-    return config
-
-
-_HANDLERS = {
-    "walks": _cmd_walks,
-    "compare": _cmd_compare,
-    "rho": _cmd_rho,
-    "perron": _cmd_perron,
-    "solve-series": _cmd_solve_series,
-    "enumerate": _cmd_enumerate,
-    "exfilter": _cmd_exfilter,
-    "verify": _cmd_verify,
-}
-
-
-def run(config, out=None):
-    """Dispatch a parsed configuration; returns the process exit status."""
-    out = out if out is not None else sys.stdout
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     try:
-        code, report = _HANDLERS[config.subcommand](config)
+        code, report = _handler(args)(args)
     except HypothesisNotMet as exc:
         print(f"inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (FormatError, GraphError, SeriesError, SpectralError) as exc:
+    except (GraphError, SeriesError, SpectralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(emit(report, config.fmt), file=out)
+    print(emit(report, args.format))
     return code
-
-
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except (FormatError, GraphError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return run(config)
 
 
 if __name__ == "__main__":

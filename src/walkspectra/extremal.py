@@ -418,7 +418,8 @@ def verify_one_set(s_size, t_size, host1, host2, n_range, tol=ORACLE_AGREEMENT):
     embedding with single-vertex parts and the host in the last part, whose
     radius is taken on its quotient, of order s_size + t_size + 1 at any n.
     Reports the least tested n from which the sign of the radius difference
-    matches the certificate for all larger tested n (the observed onset).
+    matches the certificate for all larger tested n (the observed onset); a
+    difference within ``tol`` of zero may be a tie, so it never matches.
     """
     if s_size < 1:
         raise GraphError("clique side must have at least one vertex")
@@ -450,7 +451,7 @@ def verify_one_set(s_size, t_size, host1, host2, n_range, tol=ORACLE_AGREEMENT):
         want = 1.0 if cert.ordering is Ordering.GREATER else -1.0
         onset = None
         for n, d in reversed(diffs):
-            if d * want <= 0:
+            if d * want <= tol:
                 break
             onset = n
         verdict = "pass" if onset is not None else "fail"

@@ -120,7 +120,11 @@ def to_graph6(g):
 
 
 def from_graph6(s):
-    """Decode a graph6 string; tolerates the optional '>>graph6<<' header."""
+    """Decode a graph6 string; tolerates the optional '>>graph6<<' header.
+
+    Only the one encoding ``to_graph6`` writes is accepted: a size block
+    longer than the order needs, or nonzero padding bits, raise FormatError.
+    """
     s = s.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
@@ -148,6 +152,8 @@ def from_graph6(s):
         for b in data[2:8]:
             n = (n << 6) | (b - 63)
         body = data[8:]
+    if len(data) - len(body) != len(_g6_size_bytes(n)):
+        raise FormatError(f"graph6 size block longer than needed for n={n}")
 
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
@@ -159,6 +165,8 @@ def from_graph6(s):
     for b in body:
         bits = (bits << 6) | (b - 63)
     pad = 6 * need - nbits
+    if bits & ((1 << pad) - 1):
+        raise FormatError("nonzero graph6 padding bits")
     bits >>= pad
 
     edges = []

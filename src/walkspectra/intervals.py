@@ -93,6 +93,10 @@ class Ival:
             self.hi * o.lo,
             self.hi * o.hi,
         )
+        if math.isnan(sum(products)):
+            # An infinite endpoint bounds finite members only, and each of
+            # them times 0 is 0: so 0 * inf counts as 0 here, not nan.
+            products = tuple(0.0 if p != p else p for p in products)
         return Ival(_down(min(products)), _up(max(products)))
 
     __rmul__ = __mul__

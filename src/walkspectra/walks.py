@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import GraphError
+
 __all__ = [
     "WalkProfile",
     "Ordering",
@@ -60,7 +62,7 @@ def _level_iter(g):
 def walk_profile(g, depth):
     """Exact walk counts of g for all levels 1..depth."""
     if depth < 1:
-        raise ValueError("depth must be at least 1")
+        raise GraphError("depth must be at least 1")
     levels = []
     it = _level_iter(g)
     for _ in range(depth):
@@ -74,7 +76,7 @@ def walk_profile(g, depth):
 def walk_totals(g, depth):
     """Total walk counts [W_1, ..., W_depth] without storing per-vertex data."""
     if depth < 0:
-        raise ValueError("depth must be nonnegative")
+        raise GraphError("depth must be nonnegative")
     out = []
     it = _level_iter(g)
     for _ in range(depth):
@@ -130,9 +132,9 @@ def ex_filter(family, level):
     """
     family = list(family)
     if not family:
-        raise ValueError("family must be nonempty")
+        raise GraphError("family must be nonempty")
     if level < 1:
-        raise ValueError("level must be at least 1")
+        raise GraphError("level must be at least 1")
     survivors = [(g, _level_iter(g)) for g in family]
     for _ in range(level):
         scored = [(g, it, sum(next(it))) for g, it in survivors]
@@ -151,7 +153,7 @@ def ex_infinity(family):
     """
     family = list(family)
     if not family:
-        raise ValueError("family must be nonempty")
+        raise GraphError("family must be nonempty")
     bound = 2 * max(g.n for g in family)
     if bound == 0:
         return family

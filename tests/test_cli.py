@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,12 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def readme_commands():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
 
 
 class TestWalks:
@@ -287,12 +295,69 @@ class TestInputsAndErrors:
             main(argv)
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("verify --theorem cor-tnrk --r 2 --k 3 --n 10 --n-min 5", "--n-min"),
+            ("verify --theorem cor-tnrk --r 2 --k 3 --n 10 --n-max 12", "--n-max"),
+            ("rho --family star:5 --parts 2,2", "--parts"),
+            ("rho --method series --parts 2,2 --family star:5", "--family"),
+            ("rho --family star:5 --method dense --tol 1e-3", "--tol"),
+            ("verify --theorem multi-set --sample 2 --parts 2,2", "--parts"),
+            ("verify --theorem multi-set --parts 3,3 --seed 4", "--seed"),
+            ("verify --theorem lemma-2degree --n 9 --m 3 --r 2", "--r"),
+            ("compare --g1 star:3 --g2 complete:3 --tol 1", "--tol"),
+            ("walks --family star:3 --tol 1e-3", "--tol"),
+        ],
+    )
+    def test_unread_flag_rejected(self, capsys, argv, flag):
+        assert main(argv.split()) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+
+    def test_unreadable_files_are_usage_errors(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.g6")
+        assert main(["exfilter", "--family-file", missing, "--level", "2"]) == EXIT_USAGE
+        assert "missing.g6" in capsys.readouterr().err
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["enumerate", "--m-edges", "3", "--cache-dir", str(blocker / "cache")]
+        assert main(argv) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sample", ["0", "-1"])
+    def test_sample_positive(self, capsys, sample):
+        argv = ["verify", "--theorem", "multi-set", "--sample", sample]
+        assert main(argv) == EXIT_USAGE
+        assert "--sample must be at least 1" in capsys.readouterr().err
+
     def test_walk_depth_positive(self, capsys):
         assert main(["walks", "--family", "star:3", "--depth", "0"]) == EXIT_USAGE
+
+    def test_filter_inputs_are_usage_errors(self, capsys, tmp_path):
+        assert main(["exfilter", "--m-edges", "3", "--level", "0"]) == EXIT_USAGE
+        assert "level must be at least 1" in capsys.readouterr().err
+        empty = tmp_path / "empty.g6"
+        empty.write_text("")
+        assert main(["exfilter", "--family-file", str(empty), "--infinity"]) == EXIT_USAGE
+        assert "family must be nonempty" in capsys.readouterr().err
 
     def test_dense_cap_is_usage_error(self, capsys):
         code = main(["rho", "--family", "complete:70", "--method", "dense"])
         assert code == EXIT_USAGE
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_documented_command(self, capsys, tmp_path, monkeypatch, argv):
+        # the README's edge-list examples, in a fresh working directory
+        (tmp_path / "k3.el").write_text("3 3\n0 1\n1 2\n0 2\n")
+        (tmp_path / "s3.el").write_text("4 3\n0 1\n0 2\n0 3\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("WALKSPECTRA_CACHE", raising=False)
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        json.loads(captured.out)
 
 
 class TestDeterminism:

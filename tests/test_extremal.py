@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from walkspectra import (
     canonical_form,
     complete,
     disjoint_union,
+    from_graph6,
     path,
     rho_power,
     solve_rho_series,
@@ -309,6 +311,26 @@ class TestVerifyOneSet:
     def test_host_must_fit(self):
         with pytest.raises(GraphError):
             verify_one_set(2, 3, star(4), complete(3), range(7, 10))
+
+    @pytest.mark.parametrize("ulps", [-16, 16])
+    def test_exact_tie_never_orders(self, monkeypatch, ulps):
+        # Both radii are exactly 4 at n = 12, and their float difference is
+        # a few ulps off zero: whichever side it falls on, the tie must not
+        # count towards the walk order, so the onset stays 13.
+        real = extremal._radius
+
+        def nudged(member):
+            res, a = real(member)
+            if member.part_sizes[-1] == 11 and to_graph6(member.hosts[-1]) == "Is_?G????":
+                res = dataclasses.replace(res, rho=res.rho + ulps * math.ulp(res.rho))
+            return res, a
+
+        monkeypatch.setattr(extremal, "_radius", nudged)
+        rep = verify_one_set(
+            1, 10, from_graph6("IqK??????"), from_graph6("Is_?G????"), range(11, 20)
+        )
+        assert rep.details["ordering"] == "less"
+        assert rep.details["onset"] == 13
 
     def test_large_n_inside_series_brackets(self):
         # Too large for any full-graph eigensolver; the certified series

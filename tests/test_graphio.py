@@ -108,6 +108,31 @@ class TestGraph6:
         with pytest.raises(FormatError, match="body"):
             from_graph6("Bww")
 
+    def test_nonzero_padding_rejected(self):
+        # 'x' carries K3's three bits and a set padding bit; 'w' is K3
+        with pytest.raises(FormatError, match="padding"):
+            from_graph6("Bx")
+
+    @pytest.mark.parametrize("text", ["~??Bw", "~~?????Bw", "~~?????~??"])
+    def test_long_size_block_rejected(self, text):
+        with pytest.raises(FormatError, match="size block"):
+            from_graph6(text)
+
+    @given(
+        st.one_of(
+            st.text(max_size=40),
+            st.text(st.characters(min_codepoint=63, max_codepoint=126), max_size=40),
+        )
+    )
+    @settings(max_examples=300)
+    def test_arbitrary_text(self, text):
+        # Either a FormatError, or the one graph whose encoding is the input.
+        try:
+            g = from_graph6(text)
+        except FormatError:
+            return
+        assert to_graph6(g) == text.strip().removeprefix(">>graph6<<")
+
     def test_file_round_trip(self, tmp_path, rng):
         from conftest import random_graph
 

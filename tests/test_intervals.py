@@ -1,7 +1,10 @@
+import math
+import operator
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from walkspectra.intervals import Ival, powers
@@ -10,6 +13,26 @@ finite = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
 )
 positive = st.floats(min_value=1e-6, max_value=1e12, allow_nan=False, allow_infinity=False)
+# integers from 1 to well past the float range (2**1024), either sign
+huge_ints = st.builds(
+    lambda sign, e, d: sign * ((1 << e) + d),
+    st.sampled_from((-1, 1)), st.integers(0, 1100), st.integers(0, 3),
+)
+
+
+@st.composite
+def with_members(draw):
+    """An interval with extreme endpoints (infinities, subnormals, the
+    largest floats, or an integer beyond 2**1024) and some of its finite
+    members as exact fractions."""
+    if draw(st.booleans()):
+        w = draw(huge_ints)
+        return Ival.from_int(w), [Fraction(w)]
+    a, b = draw(st.floats(allow_nan=False)), draw(st.floats(allow_nan=False))
+    iv = Ival(min(a, b), max(a, b))
+    big = sys.float_info.max
+    points = (iv.lo, iv.hi, iv.mid, 0.0, -big, big)
+    return iv, [Fraction(p) for p in points if math.isfinite(p) and iv.lo <= p <= iv.hi]
 
 
 def exact(iv):
@@ -67,6 +90,20 @@ class TestArithmetic:
         for xa in (x.lo, x.hi):
             for ya in (y.lo, y.hi):
                 assert Fraction(q.lo) <= Fraction(xa) / Fraction(ya) <= Fraction(q.hi)
+
+    @given(with_members(), with_members())
+    @example((Ival(-math.inf, -1.0), [Fraction(-1)]), (Ival(0.0, 1.0), [Fraction(0), Fraction(1)]))
+    @settings(max_examples=400)
+    def test_extremes_enclose(self, xs, ys):
+        (x, x_members), (y, y_members) = xs, ys
+        assume(x_members and y_members)
+        results = [(operator.add, x + y), (operator.sub, x - y), (operator.mul, x * y)]
+        if y.lo > 0:
+            results.append((operator.truediv, x / y))
+        for op, result in results:
+            for p in x_members:
+                for q in y_members:
+                    assert result.lo <= op(p, q) <= result.hi
 
     def test_div_requires_positive(self):
         with pytest.raises(ZeroDivisionError):
