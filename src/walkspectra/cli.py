@@ -12,6 +12,7 @@ Exit codes: 0 success or verification pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -390,11 +391,11 @@ def _single(report):
 
 
 def _verify_lemma_2degree(args):
-    return _single(verify_lemma_2degree(args.n, args.m))
+    return _single(verify_lemma_2degree(args.n, args.m, cache_dir=args.cache_dir))
 
 
 def _verify_cor_2inf(args):
-    return _single(verify_corollary_2inf(args.m))
+    return _single(verify_corollary_2inf(args.m, cache_dir=args.cache_dir))
 
 
 def _verify_one_set(args):
@@ -430,7 +431,7 @@ def _verify_multi_set_sample(args):
 
 
 def _verify_tnrk(args):
-    return _single(verify_corollary_tnrk(args.n, args.r, args.k))
+    return _single(verify_corollary_tnrk(args.n, args.r, args.k, cache_dir=args.cache_dir))
 
 
 def _verify_tnrk_scan(args):
@@ -440,7 +441,7 @@ def _verify_tnrk_scan(args):
     reports = []
     onset = None
     for n in range(n_min, args.n_max + 1):
-        rep = verify_corollary_tnrk(n, args.r, args.k).as_dict()
+        rep = verify_corollary_tnrk(n, args.r, args.k, cache_dir=args.cache_dir).as_dict()
         reports.append(rep)
         onset = None if rep["verdict"] != "pass" else (onset if onset is not None else n)
     body = {
@@ -544,7 +545,11 @@ def _add_graph_options(sub):
     sub.add_argument("--family", help="named family, e.g. star:8 or turan:7,3")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every call: it
+    holds no per-invocation state, and building it costs far more than a
+    parse."""
     parser = argparse.ArgumentParser(
         prog="walkspectra",
         description="Graph spectral radii through walk-count series.",

@@ -339,9 +339,10 @@ def _canon_set(graphs):
     return {canonical_form(g).data for g in graphs}
 
 
-def verify_lemma_2degree(n, m):
+def verify_lemma_2degree(n, m, cache_dir=None):
     """Second-level filter of the order-n m-edge family: the star plus
-    isolated vertices, with the triangle tying exactly at m = 3."""
+    isolated vertices, with the triangle tying exactly at m = 3.  The family
+    is read from, or written to, ``cache_dir`` when one is given."""
     if not 1 <= m <= 6:
         return VerificationReport(
             "lemma-2degree", {"n": n, "m": m}, "inapplicable",
@@ -352,7 +353,7 @@ def verify_lemma_2degree(n, m):
             "lemma-2degree", {"n": n, "m": m}, "inapplicable",
             details={"reason": "n out of verified range m+2..14"},
         )
-    family = enumerate_m_edge_order(n, m)
+    family = enumerate_m_edge_order(n, m, cache_dir=cache_dir)
     survivors = ex_filter(family.members, 2)
     expected = [star(m + 1).add_isolated(n - m - 1)]
     if m == 3:
@@ -370,16 +371,17 @@ def verify_lemma_2degree(n, m):
     )
 
 
-def verify_corollary_2inf(m):
+def verify_corollary_2inf(m, cache_dir=None):
     """Filter levels 2, 3, and the stable limit on the m-edge family:
     level 2 keeps the star (plus the triangle at m = 3), level 3 onward is a
-    singleton, and level 3 already equals the stable limit."""
+    singleton, and level 3 already equals the stable limit.  The family is
+    read from, or written to, ``cache_dir`` when one is given."""
     if not 1 <= m <= 6:
         return VerificationReport(
             "cor-2inf", {"m": m}, "inapplicable",
             details={"reason": "m out of verified range 1..6"},
         )
-    family = enumerate_m_edge(m)
+    family = enumerate_m_edge(m, cache_dir=cache_dir)
     lvl2 = ex_filter(family.members, 2)
     lvl3 = ex_filter(family.members, 3)
     stable = ex_infinity(family.members)
@@ -534,10 +536,15 @@ def _expected_tnrk_host(k):
     return complete(3) if k == 4 else star(k)
 
 
-def verify_corollary_tnrk(n, r, k):
+def verify_corollary_tnrk(n, r, k, cache_dir=None):
     """Check that the unique spectral-radius maximizer among t = k-1 embedded
     edges is the expected host (triangle at k = 4, star otherwise) placed in
-    a smallest part."""
+    a smallest part.
+
+    Inapplicable when the expected host does not fit a smallest part, which
+    happens only below n = r*k.  The host classes are read from, or written
+    to, ``cache_dir`` when one is given.
+    """
     if r < 2 or not 2 <= k <= 6:
         return VerificationReport(
             "cor-tnrk", {"n": n, "r": r, "k": k}, "inapplicable",
@@ -549,10 +556,10 @@ def verify_corollary_tnrk(n, r, k):
     params = {"n": n, "r": r, "k": k, "part_sizes": list(sizes)}
     if expected_host.n > sizes[0]:
         return VerificationReport(
-            "cor-tnrk", params, "fail",
+            "cor-tnrk", params, "inapplicable",
             details={"reason": "expected host does not fit a smallest part"},
         )
-    family = enumerate_embeddings(n, r, t)
+    family = enumerate_embeddings(n, r, t, cache_dir=cache_dir)
     detail = _spex_detail(family.members)
 
     hosts = [None] * r

@@ -1,9 +1,11 @@
 import json
+import os
 import shlex
 from pathlib import Path
 
 import pytest
 
+from walkspectra import cli, extremal
 from walkspectra.cli import (
     EXIT_FAIL,
     EXIT_INAPPLICABLE,
@@ -223,12 +225,55 @@ class TestVerify:
         )
         assert code == EXIT_OK
 
-    def test_cor_tnrk_fail_exit(self, capsys):
+    @pytest.mark.parametrize("n, r, k", [(8, 4, 5), (5, 2, 3)])
+    def test_cor_tnrk_host_not_fitting_inapplicable(self, capsys, n, r, k):
         code, rep = run_json(
-            capsys, ["verify", "--theorem", "cor-tnrk", "--n", "8", "--r", "4", "--k", "5"]
+            capsys,
+            ["verify", "--theorem", "cor-tnrk", "--n", str(n), "--r", str(r), "--k", str(k)],
         )
+        assert code == EXIT_INAPPLICABLE
+        assert rep["verdict"] == "inapplicable"
+        assert rep["details"]["reason"] == "expected host does not fit a smallest part"
+
+    def test_cor_tnrk_scan_below_rk(self, capsys):
+        # n = 4, 5 cannot hold the star K_{1,2} in a part: inapplicable, not failed
+        argv = ["verify", "--theorem", "cor-tnrk", "--r", "2", "--k", "3", "--n-min", "4"]
+        code, rep = run_json(capsys, argv + ["--n-max", "7"])
+        assert code == EXIT_OK
+        assert [row["verdict"] for row in rep["per_n"]] == ["inapplicable"] * 2 + ["pass"] * 2
+        assert rep["onset"] == 6
+        code, rep = run_json(capsys, argv + ["--n-max", "5"])
+        assert code == EXIT_INAPPLICABLE
+        assert rep["onset"] is None
+
+    def test_fail_verdict_exit(self, capsys, monkeypatch):
+        failed = extremal.VerificationReport("cor-2inf", {"m": 3}, "fail")
+        monkeypatch.setattr(cli, "verify_corollary_2inf", lambda m, cache_dir=None: failed)
+        code, rep = run_json(capsys, ["verify", "--theorem", "cor-2inf", "--m", "3"])
         assert code == EXIT_FAIL
         assert rep["verdict"] == "fail"
+
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            ("verify --theorem cor-2inf --m 4", {"m_edge_4.g6"}),
+            ("verify --theorem lemma-2degree --n 7 --m 4", {"m_edge_4.g6"}),
+            ("verify --theorem cor-tnrk --n 8 --r 2 --k 3", {"m_edge_1.g6", "m_edge_2.g6"}),
+            ("verify --theorem cor-tnrk --r 2 --k 3 --n-max 7", {"m_edge_1.g6", "m_edge_2.g6"}),
+        ],
+    )
+    def test_verifier_cache_dir(self, capsys, tmp_path, monkeypatch, argv, files):
+        cache = tmp_path / "d"
+        argv = argv.split() + ["--cache-dir", str(cache)]
+        assert main(argv) == EXIT_OK
+        cold = capsys.readouterr().out
+        assert set(os.listdir(cache)) == files
+        reads = []
+        real = extremal.read_graph6
+        monkeypatch.setattr(extremal, "read_graph6", lambda path: reads.append(path) or real(path))
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == cold
+        assert {os.path.basename(p) for p in reads} == files
 
     def test_cor_tnrk_scan(self, capsys):
         code, rep = run_json(
@@ -250,6 +295,39 @@ class TestVerify:
 
     def test_missing_options(self, capsys):
         assert main(["verify", "--theorem", "lemma-2degree"]) == EXIT_USAGE
+
+
+def run_captured(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParser:
+    # A flag argparse rejects, a flag the mode does not read, missing flags,
+    # then a valid command.
+    SEQUENCE = [
+        "rho --family star:3 --depth 5",
+        "walks --family star:3 --tol 1e-3",
+        "verify --theorem lemma-2degree",
+        "walks --graph6 Bw --depth 3",
+    ]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_shared_parser_matches_fresh(self, capsys):
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli.build_parser.cache_clear()
+            fresh.append(run_captured(capsys, argv.split()))
+        cli.build_parser.cache_clear()
+        shared = [run_captured(capsys, argv.split()) for argv in self.SEQUENCE]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [EXIT_USAGE] * 3 + [EXIT_OK]
 
 
 class TestInputsAndErrors:

@@ -415,9 +415,9 @@ class TestVerifyCorollaryTnrk:
         assert rep.passed
         assert rep.details["winner_hosts"] == [[to_graph6(complete(3))]]
 
-    def test_host_not_fitting_fails(self):
+    def test_host_not_fitting_inapplicable(self):
         rep = verify_corollary_tnrk(8, 4, 5)
-        assert rep.verdict == "fail"
+        assert rep.verdict == "inapplicable"
 
     def test_spex_order_matches_walk_order_same_part(self):
         # same-part hosts: the radius ranking must agree with walk preference

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import eig_rho, random_connected_graph, random_graph
 from walkspectra import (
@@ -18,6 +21,33 @@ from walkspectra import (
     turan,
 )
 from walkspectra.extremal import sample_embedding
+from walkspectra.spectral import _jacobi_eigh, _round_robin
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A symmetric matrix of order 1..64: zero, K_n, K_{a,b}, a random
+    graph, two random graphs side by side, or random weighted entries."""
+    n = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(("zero", "complete", "bipartite", "graph", "disjoint", "weighted")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "complete":
+        return np.ones((n, n)) - np.eye(n)
+    if kind == "bipartite":
+        side = np.arange(n) < draw(st.integers(0, n))
+        return (side[:, None] != side[None, :]).astype(float)
+    if kind == "weighted":
+        scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
+        a = rng.uniform(-scale, scale, (n, n))
+    else:
+        a = (rng.random((n, n)) < draw(st.floats(0.0, 1.0))).astype(float)
+        if kind == "disjoint":
+            cut = draw(st.integers(0, n))
+            a[:cut, cut:] = 0.0
+    a = np.triu(a, 0 if kind == "weighted" else 1)
+    return a + np.triu(a, 1).T
 
 
 class TestRhoPower:
@@ -89,6 +119,31 @@ class TestRhoDense:
             c = eig_rho(g)
             assert abs(a - b) <= 1e-9
             assert abs(a - c) <= 1e-9
+
+
+class TestJacobi:
+    def test_round_robin_schedule(self):
+        for n in range(1, 66):
+            rounds = _round_robin(n)
+            assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+            pairs = []
+            for p, q in rounds:
+                touched = [*p.tolist(), *q.tolist()]
+                assert len(touched) == len(set(touched)) == 2 * (n // 2)
+                assert (p < q).all()
+                pairs += zip(p.tolist(), q.tolist())
+            assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    @settings(max_examples=60)
+    @given(symmetric_matrices())
+    @example(np.zeros((7, 7)))
+    @example(np.ones((9, 9)) - np.eye(9))
+    def test_matches_library_eigensolver(self, a):
+        w, v, _ = _jacobi_eigh(a)
+        scale = max(1.0, float(np.abs(a).max()))
+        assert np.abs(np.sort(w) - np.linalg.eigvalsh(a)).max() <= 1e-11 * scale
+        assert np.abs(v.T @ v - np.eye(len(a))).max() <= 1e-12
+        assert np.abs(a @ v - v * w).max() <= 1e-11 * scale
 
 
 class TestPerronNormalized:
