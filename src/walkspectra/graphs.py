@@ -39,7 +39,7 @@ class Graph:
     workloads stay far smaller.
     """
 
-    __slots__ = ("n", "_adj", "_neighbors", "_degrees", "_hash")
+    __slots__ = ("n", "_adj", "_neighbors", "_degrees", "_hash", "_canon")
 
     def __init__(self, adj):
         adj = np.array(adj, dtype=bool)
@@ -55,6 +55,7 @@ class Graph:
         self._neighbors = None
         self._degrees = None
         self._hash = None
+        self._canon = None
 
     @classmethod
     def from_edge_list(cls, n, edges):
@@ -92,8 +93,7 @@ class Graph:
         """Tuple of sorted neighbor tuples, one per vertex."""
         if self._neighbors is None:
             self._neighbors = tuple(
-                tuple(int(v) for v in np.flatnonzero(self._adj[u]))
-                for u in range(self.n)
+                tuple(np.flatnonzero(row).tolist()) for row in self._adj
             )
         return self._neighbors
 
@@ -319,17 +319,18 @@ class CanonicalForm:
         return self.data.hex()
 
 
-def _refine_colors(g):
-    """Iterated neighborhood refinement starting from degrees.
+def _refine_colors(nbrs):
+    """Iterated neighborhood refinement of a graph given by its sorted
+    neighbor lists, starting from degrees.
 
     Color values are canonical (derived only from degrees and sorted
     neighbor colors), so equal classes across isomorphic graphs get equal
     ranks.
     """
-    nbrs = g.neighbor_lists
-    colors = list(g.degrees)
-    for _ in range(g.n):
-        keys = [(colors[u], tuple(sorted(colors[v] for v in nbrs[u]))) for u in range(g.n)]
+    n = len(nbrs)
+    colors = [len(vs) for vs in nbrs]
+    for _ in range(n):
+        keys = [(colors[u], tuple(sorted(colors[v] for v in nbrs[u]))) for u in range(n)]
         rank = {k: i for i, k in enumerate(sorted(set(keys)))}
         new = [rank[k] for k in keys]
         if len(set(new)) == len(set(colors)):
@@ -339,8 +340,9 @@ def _refine_colors(g):
     return colors
 
 
-def _component_canonical(g):
-    """Minimal adjacency bitstring over color-respecting vertex orderings.
+def _component_canonical(nbrs):
+    """Minimal adjacency bitstring over color-respecting vertex orderings of
+    a connected graph given by its sorted neighbor lists.
 
     Bits are taken column by column over the upper triangle, so they accrue
     one column per placed vertex and prefixes prune the search.  Restricting
@@ -349,14 +351,15 @@ def _component_canonical(g):
     to the same bitstring, and equal bitstrings describe the same labeled
     graph.
     """
-    colors = _refine_colors(g)
+    colors = _refine_colors(nbrs)
     classes = {}
     for v, c in enumerate(colors):
         classes.setdefault(c, []).append(v)
     groups = [classes[c] for c in sorted(classes)]
 
-    n = g.n
-    adj = g.adj
+    n = len(nbrs)
+    # Row v as an int whose bit u is the edge uv: one shift and mask per bit.
+    rows = [sum(1 << u for u in nbrs[v]) for v in range(n)]
     total_bits = n * (n - 1) // 2
     group_at = []
     for gi, grp in enumerate(groups):
@@ -380,8 +383,9 @@ def _component_canonical(g):
             if used[v]:
                 continue
             nb = bits
-            for q in range(pos):
-                nb = (nb << 1) | int(adj[order[q], v])
+            row = rows[v]
+            for u in order:
+                nb = (nb << 1) | ((row >> u) & 1)
             nnb = nbits + pos
             if best is not None and nb > (best >> (total_bits - nnb)):
                 continue
@@ -401,21 +405,36 @@ def canonical_form(g, limit=DEFAULT_CANON_LIMIT):
     Isolated vertices are stripped and connected components are
     canonicalized independently, so the permutation search is bounded by
     the largest component rather than the whole graph.  The size limit
-    (default 10) applies per component.
+    (default 10) applies per component, on every call.  The form is
+    computed once per graph and kept on it; graphs are immutable, so it
+    cannot go stale.
     """
-    comps = [c for c in g.components() if len(c) > 1 or g.degree(c[0]) > 0]
+    if g._canon is not None:
+        largest, form = g._canon
+    else:
+        comps = [c for c in g.components() if len(c) > 1]
+        largest, form = max(map(len, comps), default=0), None
+    if largest > limit:
+        raise GraphError(
+            f"component of {largest} vertices exceeds canonicalization limit {limit}"
+        )
+    if form is None:
+        form = _assemble_form(g, comps)
+        g._canon = largest, form
+    return form
+
+
+def _assemble_form(g, comps):
+    """Canonicalize each component, then pack a canonical representative:
+    components in sorted order, isolated vertices last."""
+    nbrs = g.neighbor_lists
     canon_comps = []
     for comp in comps:
-        if len(comp) > limit:
-            raise GraphError(
-                f"component of {len(comp)} vertices exceeds canonicalization limit {limit}"
-            )
-        sub = g.induced(comp)
-        canon_comps.append((sub.n, _component_canonical(sub)))
+        local = {v: i for i, v in enumerate(comp)}
+        sub = [[local[v] for v in nbrs[u]] for u in comp]
+        canon_comps.append((len(comp), _component_canonical(sub)))
     canon_comps.sort()
 
-    # Reassemble a canonical representative: components in sorted order,
-    # isolated vertices last, and take its packed adjacency.
     payload = bytearray()
     payload += g.n.to_bytes(4, "big")
     for order, bits in canon_comps:

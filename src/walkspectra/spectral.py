@@ -116,7 +116,9 @@ def _jacobi_eigh(a, sweep_tol=1e-14, max_sweeps=60):
     """Eigen-decomposition of a symmetric matrix by Jacobi rotations in
     round-robin order.
 
-    Returns (eigenvalues, eigenvector columns, sweeps).  A sweep is the
+    Returns (eigenvalues, eigenvector columns, sweeps, converged), where
+    converged is false when the off-diagonal is still above ``sweep_tol``
+    (relative to the largest entry) after ``max_sweeps``.  A sweep is the
     rounds of :func:`_round_robin`; each round rotates its disjoint pairs at
     once, as one orthogonal J with A <- J^T A J and V <- V J.  Rotations on
     disjoint pairs commute, so a round is the same as its rotations applied
@@ -130,15 +132,14 @@ def _jacobi_eigh(a, sweep_tol=1e-14, max_sweeps=60):
     n = a.shape[0]
     v = np.eye(n)
     if n < 2:
-        return np.diagonal(a).copy(), v, 0
+        return np.diagonal(a).copy(), v, 0, True
     scale = max(1.0, float(np.abs(a).max()))
     skip = 0.01 * sweep_tol * scale
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        off = float(np.abs(np.triu(a, 1)).max())
-        if off <= sweep_tol * scale:
-            sweeps -= 1
-            break
+    while float(np.abs(np.triu(a, 1)).max()) > sweep_tol * scale:
+        if sweeps == max_sweeps:
+            return np.diagonal(a).copy(), v, sweeps, False
+        sweeps += 1
         for p, q in _round_robin(n):
             apq = a[p, q]
             big = np.abs(apq) > skip
@@ -157,7 +158,7 @@ def _jacobi_eigh(a, sweep_tol=1e-14, max_sweeps=60):
             a = j.T @ a @ j
             a[p, q] = a[q, p] = 0.0
             v = v @ j
-    return np.diagonal(a).copy(), v, sweeps
+    return np.diagonal(a).copy(), v, sweeps, True
 
 
 def rho_dense(g):
@@ -166,13 +167,14 @@ def rho_dense(g):
     Exists as an independent oracle for the power iteration.  A sweep is
     n - 1 or n rounds of disjoint rotations, each three n-by-n matrix
     products, so the Python overhead is per round, not per pair;
-    ``iterations`` reports the sweeps.
+    ``iterations`` reports the sweeps, and ``converged`` is false when
+    the sweeps ran out before the off-diagonal vanished.
     """
     if g.n > DENSE_LIMIT:
         raise SpectralError(f"dense solver limited to n <= {DENSE_LIMIT}, got {g.n}")
     if g.n == 0:
         return SpectralResult(0.0, np.zeros(0), 0.0, 0, "dense")
-    eigvals, eigvecs, sweeps = _jacobi_eigh(g.adjacency(float))
+    eigvals, eigvecs, sweeps, converged = _jacobi_eigh(g.adjacency(float))
     i = int(np.argmax(eigvals))
     rho = float(eigvals[i])
     # The top eigenspace is spanned by per-component nonnegative vectors, so
@@ -182,12 +184,21 @@ def rho_dense(g):
     if nrm > 0:
         vec = vec / nrm
     res = float(np.abs(g.adjacency(float) @ vec - rho * vec).max())
-    return SpectralResult(rho, vec, res, sweeps, "dense")
+    return SpectralResult(rho, vec, res, sweeps, "dense", converged=converged)
 
 
 def dense_radius(a):
-    """Largest eigenvalue of a symmetric matrix, by the Jacobi oracle."""
-    return float(max(_jacobi_eigh(a)[0], default=0.0))
+    """Largest eigenvalue of a symmetric matrix, by the Jacobi oracle.
+
+    Raises :class:`SpectralError` when the sweeps run out first, since the
+    value then need not be an eigenvalue at all.
+    """
+    eigvals, _, sweeps, converged = _jacobi_eigh(a)
+    if not converged:
+        raise SpectralError(
+            f"Jacobi did not converge on a matrix of order {len(a)} after {sweeps} sweeps"
+        )
+    return float(max(eigvals, default=0.0))
 
 
 def perron_normalized(g, subset, tol=DEFAULT_TOL):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -137,6 +138,16 @@ class TestEnumerate:
         )
         assert code == EXIT_OK
         assert (tmp_path / "m_edge_4.g6").exists()
+
+    def test_cache_file_bytes_pinned(self, capsys, tmp_path):
+        code, _ = run_json(
+            capsys, ["enumerate", "--m-edges", "6", "--cache-dir", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        data = (tmp_path / "m_edge_6.g6").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "99e3768653458b98c344e8ab2d220fc9fd0201e29f9575ff56731ce7b895c5de"
+        )
 
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("WALKSPECTRA_CACHE", str(tmp_path))

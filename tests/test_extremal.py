@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import hashlib
 import math
 from itertools import combinations
 
@@ -53,8 +55,10 @@ def naive_m_edge_classes(m):
     return seen
 
 
+@functools.cache
 def connected_classes(c):
-    """Connected c-edge classes by subset search on K_{c+1}."""
+    """Connected c-edge classes by subset search on K_{c+1}; cached, so the
+    m = 5 and m = 6 cases share c <= 5."""
     n = c + 1
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     seen = set()
@@ -62,7 +66,7 @@ def connected_classes(c):
         g = _strip_isolated(Graph.from_edge_list(n, subset))
         if g.n and g.is_connected():
             seen.add(canonical_form(g).data)
-    return seen
+    return frozenset(seen)
 
 
 def count_by_component_decomposition(m):
@@ -115,6 +119,20 @@ class TestEnumerateMEdge:
     @pytest.mark.parametrize("m", [5, 6])
     def test_matches_component_decomposition(self, m):
         assert len(enumerate_m_edge(m)) == count_by_component_decomposition(m)
+
+    def test_canonical_bytes_pinned(self):
+        # sha256 of the forms of every class with m <= 6, in enumeration
+        # order: a change to the search must leave each byte as it is.  A
+        # fresh copy recomputes the form rather than reading the kept one.
+        digest = hashlib.sha256()
+        for m in range(1, 7):
+            for g in enumerate_m_edge(m):
+                data = canonical_form(Graph(g.adj)).data
+                assert data == canonical_form(g).data
+                digest.update(data)
+        assert digest.hexdigest() == (
+            "1c16a680e43598d731f5fceca6faad1ca4307c9fc13ecda1ce9188d92474a4e0"
+        )
 
     def test_m7_structure(self):
         fam = enumerate_m_edge(7)

@@ -181,6 +181,26 @@ class TestCanonicalForm:
         # isolated vertices do not count against the component limit
         canonical_form(star(5).add_isolated(20))
 
+    def test_form_kept_on_graph(self):
+        g = disjoint_union(cycle(5), star(4))
+        assert canonical_form(g) is canonical_form(g)
+
+    def test_copies_recompute_equal_bytes(self):
+        g = disjoint_union(cycle(5), star(4))
+        form = canonical_form(g)
+        assert canonical_form(Graph(g.adj)).data == form.data
+        perm = [4, 7, 0, 8, 2, 6, 1, 3, 5]
+        assert canonical_form(g.relabel(perm)).data == form.data
+
+    def test_limit_enforced_after_form_kept(self):
+        g = disjoint_union(path(8), cycle(3))
+        with pytest.raises(GraphError, match="limit 7"):
+            canonical_form(g, limit=7)
+        form = canonical_form(g)
+        with pytest.raises(GraphError, match="component of 8 vertices exceeds"):
+            canonical_form(g, limit=7)
+        assert canonical_form(g, limit=8) is form
+
 
 class TestEmbedding:
     def test_realize_k1_k3_is_k4(self):
