@@ -246,7 +246,10 @@ def sample_embedding(
 ):
     """Random embedding: r parts with sizes in part_range and t embedded
     edges split uniformly over the parts, each part's host drawn from the
-    classes that fit.  Resamples until every assigned edge count fits."""
+    classes that fit.  Resamples until every assigned edge count fits.
+    Each edge count's family is enumerated (or read from the cache) at most
+    once per call."""
+    families = {}
     for _ in range(max_tries):
         r = rng.randint(*r_range)
         sizes = [rng.randint(*part_range) for _ in range(r)]
@@ -260,11 +263,9 @@ def sample_embedding(
             if c == 0:
                 hosts.append(None)
                 continue
-            fits = [
-                h
-                for h in enumerate_m_edge(c, cache_dir=cache_dir).members
-                if h.n <= size
-            ]
+            if c not in families:
+                families[c] = enumerate_m_edge(c, cache_dir=cache_dir).members
+            fits = [h for h in families[c] if h.n <= size]
             if not fits:
                 ok = False
                 break

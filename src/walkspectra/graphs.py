@@ -349,7 +349,9 @@ def _component_canonical(nbrs):
     orderings to keep refinement classes in canonical rank order is sound:
     the classes are isomorphism-invariant, so isomorphic components minimize
     to the same bitstring, and equal bitstrings describe the same labeled
-    graph.
+    graph.  Twins (vertices whose rows agree outside their shared entry) are
+    placed in index order: swapping two twins is an automorphism, so it
+    leaves every bitstring, and hence the minimum, unchanged.
     """
     colors = _refine_colors(nbrs)
     classes = {}
@@ -360,6 +362,16 @@ def _component_canonical(nbrs):
     n = len(nbrs)
     # Row v as an int whose bit u is the edge uv: one shift and mask per bit.
     rows = [sum(1 << u for u in nbrs[v]) for v in range(n)]
+    # prev_twin[v]: the nearest lower-indexed twin of v, or -1.  Twinness is
+    # an equivalence relation, so v waiting only for prev_twin[v] places
+    # each twin class in index order.
+    prev_twin = [-1] * n
+    for v in range(n):
+        for u in range(v - 1, -1, -1):
+            mask = ~((1 << u) | (1 << v))
+            if rows[u] & mask == rows[v] & mask:
+                prev_twin[v] = u
+                break
     total_bits = n * (n - 1) // 2
     group_at = []
     for gi, grp in enumerate(groups):
@@ -380,7 +392,7 @@ def _component_canonical(nbrs):
                 best = bits
             return
         for v in groups[group_at[pos]]:
-            if used[v]:
+            if used[v] or (prev_twin[v] >= 0 and not used[prev_twin[v]]):
                 continue
             nb = bits
             row = rows[v]

@@ -13,18 +13,19 @@ import math
 __all__ = ["Ival", "powers"]
 
 _INF = math.inf
+_NEG_INF = -math.inf
+# nextafter returns +-inf and nan unchanged when stepping towards them.  The
+# arithmetic below calls it inline, not through _up/_down: one Python call
+# per endpoint is a large share of the cost of an interval operation.
+_next = math.nextafter
 
 
 def _up(x):
-    if x == _INF or math.isnan(x):
-        return x
-    return math.nextafter(x, _INF)
+    return _next(x, _INF)
 
 
 def _down(x):
-    if x == -_INF or math.isnan(x):
-        return x
-    return math.nextafter(x, -_INF)
+    return _next(x, _NEG_INF)
 
 
 class Ival:
@@ -57,6 +58,8 @@ class Ival:
     def _coerce(x):
         if isinstance(x, Ival):
             return x
+        if type(x) is float:
+            return _ival(x, x)
         if isinstance(x, int):
             return Ival.from_int(x)
         return Ival(float(x))
@@ -73,14 +76,18 @@ class Ival:
         return self.lo <= v <= self.hi
 
     def __add__(self, other):
+        if type(other) is float:  # a nan operand makes a nan endpoint: rejected
+            return _ival(_next(self.lo + other, _NEG_INF), _next(self.hi + other, _INF))
         o = Ival._coerce(other)
-        return Ival(_down(self.lo + o.lo), _up(self.hi + o.hi))
+        return _ival(_next(self.lo + o.lo, _NEG_INF), _next(self.hi + o.hi, _INF))
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is float:
+            return _ival(_next(self.lo - other, _NEG_INF), _next(self.hi - other, _INF))
         o = Ival._coerce(other)
-        return Ival(_down(self.lo - o.hi), _up(self.hi - o.lo))
+        return _ival(_next(self.lo - o.hi, _NEG_INF), _next(self.hi - o.lo, _INF))
 
     def __rsub__(self, other):
         return Ival._coerce(other).__sub__(self)
@@ -97,7 +104,7 @@ class Ival:
             # An infinite endpoint bounds finite members only, and each of
             # them times 0 is 0: so 0 * inf counts as 0 here, not nan.
             products = tuple(0.0 if p != p else p for p in products)
-        return Ival(_down(min(products)), _up(max(products)))
+        return _ival(_next(min(products), _NEG_INF), _next(max(products), _INF))
 
     __rmul__ = __mul__
 
@@ -107,20 +114,34 @@ class Ival:
             raise ZeroDivisionError("interval division requires a positive divisor")
         if self.lo >= 0.0:
             lo = self.lo / o.hi if o.hi != _INF else 0.0
-            return Ival(_down(lo), _up(self.hi / o.lo))
+            return _ival(_next(lo, _NEG_INF), _next(self.hi / o.lo, _INF))
         quotients = (
             self.lo / o.lo,
             self.lo / o.hi,
             self.hi / o.lo,
             self.hi / o.hi,
         )
-        return Ival(_down(min(quotients)), _up(max(quotients)))
+        return _ival(_next(min(quotients), _NEG_INF), _next(max(quotients), _INF))
 
     def __rtruediv__(self, other):
         return Ival._coerce(other).__truediv__(self)
 
     def __repr__(self):
         return f"Ival({self.lo!r}, {self.hi!r})"
+
+
+_new = object.__new__
+
+
+def _ival(lo, hi):
+    """Interval from float endpoints, as every arithmetic result is built:
+    the one test lo <= hi also rejects a nan endpoint."""
+    if not lo <= hi:
+        raise ValueError(f"invalid interval [{lo}, {hi}]")
+    iv = _new(Ival)
+    iv.lo = lo
+    iv.hi = hi
+    return iv
 
 
 def powers(base, k):

@@ -226,14 +226,17 @@ def _resolvent_denominator(size, host, x):
     if host is None or host.num_edges == 0:
         return Ival(1.0) + Ival(float(size)) / x_iv
     k = host.n
-    y = np.linalg.solve(x * np.eye(k) - host.adjacency(float), np.ones(k))
+    m = 0.0 - host.adj  # -A_H as floats; x on the diagonal makes it xI - A_H
+    np.fill_diagonal(m, x)
+    y = np.linalg.solve(m, np.ones(k)).tolist()
+    one = Ival(1.0)
     res_norm = 0.0
     total = Ival(0.0)
     for u, nbrs in enumerate(host.neighbor_lists):
-        yu = float(y[u])
-        res = Ival(1.0) - x_iv * yu
+        yu = y[u]
+        res = one - x_iv * yu
         for v in nbrs:
-            res = res + float(y[v])
+            res = res + y[v]
         res_norm = max(res_norm, -res.lo, res.hi)
         total = total + yu
     err = (Ival(res_norm) / (x_iv - float(host.max_degree()))).hi

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -58,13 +59,27 @@ def naive_m_edge_classes(m):
 @functools.cache
 def connected_classes(c):
     """Connected c-edge classes by subset search on K_{c+1}; cached, so the
-    m = 5 and m = 6 cases share c <= 5."""
+    m = 5 and m = 6 cases share c <= 5.  Each subset stays a list of
+    neighbour lists; only a connected one, stripped of its isolated
+    vertices, becomes a Graph, for its canonical form."""
     n = c + 1
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     seen = set()
     for subset in combinations(pairs, c):
-        g = _strip_isolated(Graph.from_edge_list(n, subset))
-        if g.n and g.is_connected():
+        nbrs = [[] for _ in range(n)]
+        for u, v in subset:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        touched = [u for u in range(n) if nbrs[u]]
+        reached, stack = {touched[0]}, [touched[0]]
+        while stack:
+            for v in nbrs[stack.pop()]:
+                if v not in reached:
+                    reached.add(v)
+                    stack.append(v)
+        if len(reached) == len(touched):
+            index = {u: i for i, u in enumerate(touched)}
+            g = Graph.from_edge_list(len(touched), [(index[u], index[v]) for u, v in subset])
             seen.add(canonical_form(g).data)
     return frozenset(seen)
 
@@ -181,6 +196,23 @@ class TestEnumerateMEdge:
         fam = enumerate_m_edge(2, cache_dir=str(tmp_path))
         assert fam.members == full
         assert cache.read_text() == text
+
+    def test_sample_reads_each_cache_file_once(self, tmp_path, monkeypatch):
+        cache = str(tmp_path)
+        for c in range(1, 6):
+            enumerate_m_edge(c, cache_dir=cache)
+        reads = []
+        real = extremal.read_graph6
+        monkeypatch.setattr(extremal, "read_graph6", lambda p: reads.append(p) or real(p))
+        for seed in range(20):
+            # same draws and the same labelled hosts as without a cache
+            rng_cached, rng_plain = random.Random(seed), random.Random(seed)
+            got = sample_embedding(rng_cached, cache_dir=cache)
+            want = sample_embedding(rng_plain)
+            assert (got.part_sizes, got.hosts) == (want.part_sizes, want.hosts)
+            assert rng_cached.getstate() == rng_plain.getstate()
+            assert reads and len(reads) == len(set(reads))
+            reads.clear()
 
     def test_padded_family(self):
         fam = enumerate_m_edge_order(8, 3)

@@ -175,6 +175,17 @@ class TestCanonicalForm:
         # One refinement class of size 10; the pruned search must still finish.
         assert canonical_form(cycle(10)) == canonical_form(cycle(10).relabel([3, 5, 1, 0, 2, 9, 4, 8, 6, 7]))
 
+    @pytest.mark.parametrize("g, form", [
+        (complete(10), "0000000a0a1fffffffffff"),
+        (star(10), "0000000a0a0000000001ff"),
+    ], ids=["K10", "star10"])
+    def test_twin_classes_at_limit(self, g, form):
+        # Ten vertices in one twin class: the search places twins in index
+        # order instead of trying all 10! orderings.  Forms as before.
+        assert canonical_form(g).hex() == form
+        perm = [3, 5, 1, 0, 2, 9, 4, 8, 6, 7]
+        assert canonical_form(g.relabel(perm)).hex() == form
+
     def test_limit_enforced(self):
         with pytest.raises(GraphError, match="limit"):
             canonical_form(path(12), limit=10)

@@ -3,6 +3,7 @@ import operator
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,20 @@ def with_members(draw):
     big = sys.float_info.max
     points = (iv.lo, iv.hi, iv.mid, 0.0, -big, big)
     return iv, [Fraction(p) for p in points if math.isfinite(p) and iv.lo <= p <= iv.hi]
+
+
+@st.composite
+def operands(draw):
+    """An operand on either side of interval arithmetic: an interval from
+    with_members, or a bare float (possibly infinite) with itself as its
+    member when finite."""
+    if draw(st.booleans()):
+        return draw(with_members())
+    f = draw(st.floats(allow_nan=False))
+    return f, [Fraction(f)] if math.isfinite(f) else []
+
+
+OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
 
 
 def exact(iv):
@@ -91,14 +106,16 @@ class TestArithmetic:
             for ya in (y.lo, y.hi):
                 assert Fraction(q.lo) <= Fraction(xa) / Fraction(ya) <= Fraction(q.hi)
 
-    @given(with_members(), with_members())
+    @given(operands(), operands())
     @example((Ival(-math.inf, -1.0), [Fraction(-1)]), (Ival(0.0, 1.0), [Fraction(0), Fraction(1)]))
+    @example((Ival(-1.0, 1.0), [Fraction(0)]), (math.inf, []))
     @settings(max_examples=400)
     def test_extremes_enclose(self, xs, ys):
         (x, x_members), (y, y_members) = xs, ys
         assume(x_members and y_members)
+        assume(isinstance(x, Ival) or isinstance(y, Ival))
         results = [(operator.add, x + y), (operator.sub, x - y), (operator.mul, x * y)]
-        if y.lo > 0:
+        if (y.lo if isinstance(y, Ival) else y) > 0:
             results.append((operator.truediv, x / y))
         for op, result in results:
             for p in x_members:
@@ -108,6 +125,35 @@ class TestArithmetic:
     def test_div_requires_positive(self):
         with pytest.raises(ZeroDivisionError):
             Ival(1.0) / Ival(-1.0, 2.0)
+
+    @pytest.mark.parametrize("x", [
+        np.float64(2.5), np.float64(-0.1), True, False,
+        2**53 + 1, -(2**60) - 3, 3**70, 10**400,
+    ], ids=lambda x: f"{type(x).__name__}:{str(x)[:8]}")
+    def test_operand_types_match_reference(self, x):
+        # Each operand type gives the endpoints of its reference interval,
+        # on either side of every operator.
+        iv = Ival(1.5, 2.25)
+        ref = Ival.from_int(x) if isinstance(x, int) else Ival(float(x))
+        for op in OPERATORS:
+            for args, ref_args in (((iv, x), (iv, ref)), ((x, iv), (ref, iv))):
+                try:
+                    want = op(*ref_args)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        op(*args)
+                    continue
+                got = op(*args)
+                assert type(got) is Ival
+                assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
+
+    @pytest.mark.parametrize("op", OPERATORS)
+    @pytest.mark.parametrize("nan", [math.nan, np.float64("nan")], ids=["float", "float64"])
+    def test_nan_operand_rejected(self, op, nan):
+        iv = Ival(1.5, 2.25)
+        for args in ((iv, nan), (nan, iv)):
+            with pytest.raises(ValueError, match="invalid interval"):
+                op(*args)
 
     def test_scalar_coercion(self):
         iv = Ival(1.0, 2.0) + 1

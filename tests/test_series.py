@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +28,7 @@ from walkspectra import (
     star,
     tail_bound,
 )
-from walkspectra.extremal import sample_embedding
+from walkspectra.extremal import sample_embedding, verify_multi_set
 from walkspectra.series import _resolvent_denominator
 
 
@@ -294,3 +297,24 @@ class TestSolve:
                     es = entry_series(padded, local, rho, 48)
                     assert es.lower - 1e-9 <= res.vector[v] <= es.upper + 1e-9
             done += 1
+
+
+def test_certified_outputs_pinned():
+    # sha256 over a seeded sample of embeddings: f_resolvent enclosures at
+    # fixed offsets above the max host degree, the solver's result and the
+    # multi-set report.  A change to the interval kernel must keep each bit.
+    rng = random.Random(2406)
+    digest = hashlib.sha256()
+    for _ in range(100):
+        e = sample_embedding(rng)
+        for gap in (1e-6, 0.01, 0.5, 3.0):
+            ev = f_resolvent(e, e.delta + gap)
+            digest.update(f"{ev.value_lo.hex()} {ev.value_hi.hex()};".encode())
+        res = solve_rho_series(e)
+        solved = (res.rho.hex(), *(b.hex() for b in res.bracket),
+                  res.iterations, res.converged)
+        digest.update(repr(solved).encode())
+        digest.update(json.dumps(verify_multi_set(e).as_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "502e23f6ad49fb43adf8837982c48af55ba365b0554ddeb09b1f8df8e74dfda8"
+    )
