@@ -14,10 +14,13 @@ so callers can scan parameter ranges and observe onset thresholds.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 from itertools import product
+
+import numpy as np
 
 from .errors import FormatError, GraphError, SeriesError, SpectralError
 from .graphio import read_graph6, to_graph6, write_graph6
@@ -29,7 +32,7 @@ from .graphs import (
     turan_part_sizes,
 )
 from .series import f_resolvent, solve_rho_series
-from .spectral import dense_radius, power_radius
+from .spectral import MAX_ITERATIONS, collatz_wielandt, power_radius
 from .walks import Ordering, ex_filter, ex_infinity, walk_compare
 
 __all__ = [
@@ -55,9 +58,9 @@ EMBED_EDGE_LIMIT = 5
 SPEX_TIE_TOL = 1e-9
 ORACLE_AGREEMENT = 1e-9
 
-# Jacobi sweeps are Python loops, so only candidates this close to the
-# maximum, the ones that can influence the argmax decision, are checked.
-_CROSS_CHECK_WINDOW = 1e-7
+# Power steps between two bracket checks while spex refines a member that
+# its bracket may yet certify out of contention.
+_REFINE_STEPS = 16
 
 
 @dataclass
@@ -278,56 +281,126 @@ def sample_embedding(
 # ---- spectral argmax -------------------------------------------------------
 
 
+class _Radius:
+    """A member's power iteration on its twin-class quotient (a graph's
+    adjacency matrix), resumable, with the certified Collatz-Wielandt
+    bracket of its latest iterate (``(-inf, inf)`` when that iterate gives
+    no certificate).
+
+    The bracket is taken on the integer quotient B, B[i][j] the number of
+    class-j neighbours of a class-i vertex, at z = x/sqrt(sizes); B is
+    similar to the symmetric quotient the iteration runs on.  A graph's
+    radius is its largest component radius, so each component with an edge
+    is bracketed on its own and the bracket is their maximum.
+    """
+
+    __slots__ = ("a", "sizes", "blocks", "res", "bracket")
+
+    def __init__(self, member):
+        if isinstance(member, MultipartiteEmbedding):
+            self.a, self.sizes = member.quotient()
+            # An embedding's quotient is connected: one block.
+            self.blocks = [((self.a > 0) * self.sizes, np.sqrt(self.sizes), slice(None))]
+        else:
+            self.a, self.sizes = member.adjacency(float), [1] * member.n
+            self.blocks = [
+                (self.a[np.ix_(c, c)], 1.0, c) for c in member.components() if len(c) > 1
+            ]
+        self.res = None
+        self.bracket = (-math.inf, math.inf)
+
+    def refine(self, steps=None):
+        """Run ``steps`` more power steps, or on to convergence when None.
+
+        Raises unless the run converged or stopped at the step count asked
+        for below the iteration cap, and when a converged value lies
+        outside its bracket.
+        """
+        done = 0 if self.res is None else self.res.iterations
+        budget = MAX_ITERATIONS if steps is None else min(done + steps, MAX_ITERATIONS)
+        res = power_radius(self.a, self.sizes, tol=1e-12, max_iterations=budget, start=self.res)
+        if not res.converged and (res.iterations < budget or budget == MAX_ITERATIONS):
+            raise SpectralError(
+                f"power iteration did not converge on a matrix of order {len(self.a)} "
+                f"(residual {res.residual:.3e} after {res.iterations} iterations)"
+            )
+        lo = hi = 0.0
+        for b, root, idx in self.blocks:
+            block = collatz_wielandt(b, res.vector[idx] / root)
+            if block is None:
+                lo, hi = -math.inf, math.inf
+                break
+            lo, hi = max(lo, block[0]), max(hi, block[1])
+        if res.converged and not lo <= res.rho <= hi:
+            raise SpectralError(
+                f"power value {res.rho!r} lies outside its certified bracket "
+                f"[{lo!r}, {hi!r}] on a matrix of order {len(self.a)}"
+            )
+        self.res, self.bracket = res, (lo, hi)
+
+
 def _radius(member):
-    """Power-iteration radius of an embedding's quotient (a graph's adjacency
-    matrix) and that matrix; an unconverged run never feeds a verdict."""
-    if isinstance(member, MultipartiteEmbedding):
-        a, sizes = member.quotient()
-    else:
-        a, sizes = member.adjacency(float), [1] * member.n
-    res = power_radius(a, sizes, tol=1e-12)
-    if not res.converged:
-        raise SpectralError(
-            f"power iteration did not converge on a matrix of order {len(a)} "
-            f"(residual {res.residual:.3e} after {res.iterations} iterations)"
-        )
-    return res, a
+    """Converged power-iteration radius of an embedding's quotient (a
+    graph's adjacency matrix) and its certified bracket; an unconverged or
+    uncertified run never feeds a verdict."""
+    radius = _Radius(member)
+    radius.refine()
+    return radius.res, radius.bracket
 
 
 @dataclass
 class _SpexDetail:
-    members: list
-    rhos: list
     top: float
     winners: list
+    runner_up: float | None
 
 
 def _spex_detail(members, tol=SPEX_TIE_TOL):
     members = list(members)
     if not members:
         raise ValueError("family must be nonempty")
-    radii = [_radius(m) for m in members]
-    rhos = [res.rho for res, _ in radii]
-    top = max(rhos)
-    window = max(_CROSS_CHECK_WINDOW, 10 * tol)
-    for res, a in radii:
-        if res.rho >= top - window:
-            other = dense_radius(a)
-            if abs(other - res.rho) > ORACLE_AGREEMENT:
-                raise SpectralError(
-                    f"spectral oracles disagree by {abs(other - res.rho):.3e} "
-                    f"on a matrix of order {len(a)}"
-                )
-    winners = [m for m, rho in zip(members, rhos) if rho >= top - tol]
-    return _SpexDetail(members=members, rhos=rhos, top=top, winners=winners)
+    radii = [_Radius(m) for m in members]
+    for radius in radii:
+        radius.refine(_REFINE_STEPS)
+    converged = []
+    bar = -math.inf
+    for radius in sorted(radii, key=lambda rd: -rd.bracket[1]):
+        # bar: the top's lower bound minus tol, and the lower bound of a
+        # converged non-winner, whichever is less.  A member whose upper
+        # bound is below it can neither win nor be the runner-up.
+        while not radius.res.converged and not radius.bracket[1] < bar:
+            radius.refine(_REFINE_STEPS if bar > -math.inf else None)
+        if radius.res.converged:
+            converged.append(radius)
+            lead = max(converged, key=lambda rd: rd.res.rho)
+            below = max(
+                (rd.bracket[0] for rd in converged if rd.res.rho < lead.res.rho - tol),
+                default=-math.inf,
+            )
+            bar = min(lead.bracket[0] - tol, below)
+    top = max(rd.res.rho for rd in converged)
+    winners = [
+        m for m, rd in zip(members, radii) if rd.res.converged and rd.res.rho >= top - tol
+    ]
+    runner_up = max(
+        (rd.res.rho for rd in converged if rd.res.rho < top - tol), default=None
+    )
+    return _SpexDetail(top=top, winners=winners, runner_up=runner_up)
 
 
 def spex(family, tol=SPEX_TIE_TOL):
     """Members of maximum spectral radius, ties within tol kept.
 
     Radii come from power iteration on each embedding's twin-class quotient
-    (a graph's adjacency matrix); candidates near the maximum are
-    cross-checked by the Jacobi solver on the same matrix.
+    (a graph's adjacency matrix), each iterate bracketed by a certified
+    Collatz-Wielandt bound.  A short pass brackets every member; members
+    are then run on in descending order of their upper bounds, and one
+    stops early once its upper bound is below both the top's lower bound
+    minus tol and the lower bound of a converged member that does not win.
+    So every member not certified below the top minus tol is converged, and
+    the winners are the converged members within tol of the largest
+    converged value.  Each converged value must lie in its bracket, or
+    :class:`SpectralError` is raised.
     """
     members = family.members if isinstance(family, EnumerationFamily) else family
     return _spex_detail(members, tol=tol).winners
@@ -568,13 +641,6 @@ def verify_corollary_tnrk(n, r, k, cache_dir=None):
     expected_key = MultipartiteEmbedding(sizes, hosts).key()
     winners = detail.winners
     ok = len(winners) == 1 and winners[0].key() == expected_key
-
-    runner_up = None
-    winner_set = {id(w) for w in winners}
-    others = [rho for m, rho in zip(detail.members, detail.rhos) if id(m) not in winner_set]
-    if others:
-        runner_up = detail.top - max(others)
-
     return VerificationReport(
         theorem="cor-tnrk",
         parameters=params,
@@ -583,10 +649,11 @@ def verify_corollary_tnrk(n, r, k, cache_dir=None):
         details={
             "family_size": len(family),
             "rho_max": detail.top,
-            "margin": runner_up,
+            "margin": None if detail.runner_up is None else detail.top - detail.runner_up,
+            # A scan keeps one report per n, and the same few hosts recur.
             "winner_hosts": [
-                [to_graph6(h) for h in w.hosts if h is not None] for w in winners
+                [sys.intern(to_graph6(h)) for h in w.hosts if h is not None] for w in winners
             ],
-            "expected_host": to_graph6(expected_host),
+            "expected_host": sys.intern(to_graph6(expected_host)),
         },
     )

@@ -92,9 +92,14 @@ class Graph:
     def neighbor_lists(self):
         """Tuple of sorted neighbor tuples, one per vertex."""
         if self._neighbors is None:
-            self._neighbors = tuple(
-                tuple(np.flatnonzero(row).tolist()) for row in self._adj
-            )
+            # One scan of the flattened matrix (row-major order), cut into
+            # rows by degree; a flat index modulo n is its column.
+            cols = tuple((np.flatnonzero(self._adj) % self.n).tolist())
+            rows, end = [], 0
+            for d in self._adj.sum(axis=1).tolist():
+                rows.append(cols[end : end + d])
+                end += d
+            self._neighbors = tuple(rows)
         return self._neighbors
 
     @property

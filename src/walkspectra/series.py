@@ -248,10 +248,15 @@ def f_resolvent(embedding, x):
     """Certified enclosure of the part-sum f(x) with every inner series
     summed to infinity in closed form: no truncation, so depth and tail
     bound are both reported as 0."""
-    x = float(x)
-    if not x > embedding.delta:
+    return _resolvent_probe(embedding, float(x), embedding.delta)
+
+
+def _resolvent_probe(embedding, x, delta):
+    """:func:`f_resolvent` at a float x, given the embedding's max host
+    degree ``delta``, which a solver reads once for all its probes."""
+    if not x > delta:
         raise HypothesisNotMet(
-            f"series evaluation needs x > max host degree ({x} <= {embedding.delta})"
+            f"series evaluation needs x > max host degree ({x} <= {delta})"
         )
     total = Ival(0.0)
     for size, host in zip(embedding.part_sizes, embedding.hosts):
@@ -275,7 +280,8 @@ def solve_rho_series(embedding, tol=DEFAULT_SOLVE_TOL):
     if tol <= 0:
         raise SeriesError("tolerance must be positive")
     target = float(embedding.r - 1)
-    a = float(embedding.delta)
+    delta = embedding.delta
+    a = float(delta)
     b = float(max(
         embedding.n - size + (0 if host is None else host.max_degree())
         for size, host in zip(embedding.part_sizes, embedding.hosts)
@@ -287,22 +293,22 @@ def solve_rho_series(embedding, tol=DEFAULT_SOLVE_TOL):
         if not a < x < b:
             break
         steps += 1
-        ev = f_resolvent(embedding, x)
+        ev = _resolvent_probe(embedding, x, delta)
         if ev.value_hi < target:
             a, a_certified = x, True
         elif ev.value_lo > target:
             b = x
         else:
             q = 0.25 * tol
-            if f_resolvent(embedding, x - q).value_hi < target:
+            if _resolvent_probe(embedding, x - q, delta).value_hi < target:
                 a, a_certified = x - q, True
-            if f_resolvent(embedding, x + q).value_lo > target:
+            if _resolvent_probe(embedding, x + q, delta).value_lo > target:
                 b = x + q
             break
     if not a_certified:
         raise HypothesisNotMet(
             f"bracket low end {a:.6g} is not certified above max host degree "
-            f"{embedding.delta}; the series equation is not certified here"
+            f"{delta}; the series equation is not certified here"
         )
     return SpectralResult(
         rho=0.5 * (a + b),

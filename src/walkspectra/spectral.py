@@ -1,6 +1,7 @@
 """Spectral-radius solvers: shifted power iteration and a dense Jacobi
-eigensolver kept as an independent cross-check, plus Perron vectors under a
-prescribed subset normalization.
+eigensolver kept as an independent oracle, certified Collatz-Wielandt
+brackets for the power iterates, and Perron vectors under a prescribed
+subset normalization.
 
 The Jacobi solver sweeps the off-diagonal pairs in round-robin order (Brent &
 Luk, 1985): each round's pairs are disjoint, so a round is one orthogonal
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,7 @@ __all__ = [
     "rho_power",
     "power_radius",
     "rho_dense",
-    "dense_radius",
+    "collatz_wielandt",
     "perron_normalized",
     "DENSE_LIMIT",
 ]
@@ -31,6 +33,8 @@ DENSE_LIMIT = 64
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 1_000_000
+_UNIT_ROUNDOFF = 2.0**-53
+_TINY = sys.float_info.min  # the least positive normal float
 
 
 @dataclass
@@ -57,7 +61,7 @@ def rho_power(g, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
     return power_radius(g.adjacency(float), [1] * g.n, tol, max_iterations)
 
 
-def power_radius(a, sizes, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
+def power_radius(a, sizes, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS, start=None):
     """Spectral radius by power iteration on a + I from the all-ones vector.
 
     ``a`` is a graph's symmetric quotient by an equitable partition with
@@ -67,17 +71,24 @@ def power_radius(a, sizes, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
     strictly dominant even for bipartite graphs, so the iteration converges
     from any positive start; the Rayleigh quotient of a is quadratically
     accurate.  Disconnected input converges on a dominant component.
+
+    ``start``, an unconverged result of an earlier call on the same matrix,
+    resumes that run: its vector is the next iterate and iterations count on
+    from its total, so a run stopped and resumed walks the same iterates,
+    and returns the same result, as one uninterrupted run.
     """
     if tol <= 0:
         raise SpectralError("tolerance must be positive")
     if len(sizes) == 0:
         return SpectralResult(0.0, np.zeros(0), 0.0, 0, "power")
     root = np.sqrt(sizes)
-    x = root / math.sqrt(sum(sizes))
-    rho = 0.0
-    res = math.inf
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    if start is None:
+        x = root / math.sqrt(sum(sizes))
+        rho, res, done = 0.0, math.inf, 0
+    else:
+        x, rho, res, done = start.vector, start.rho, start.residual, start.iterations
+    iterations = done
+    for iterations in range(done + 1, max_iterations + 1):
         ax = a @ x
         rho = float(x @ ax)
         res = float((np.abs(ax - rho * x) / root).max())
@@ -86,6 +97,34 @@ def power_radius(a, sizes, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
         y = ax + x
         x = y / np.linalg.norm(y)
     return SpectralResult(rho, x, res, iterations, "power", converged=False)
+
+
+def collatz_wielandt(b, z):
+    """Certified bracket (lo, hi) of the spectral radius of b, or None.
+
+    ``b`` is a nonnegative matrix whose entries are exact in floats, such as
+    the integer quotient of a graph by an equitable partition (entry [i][j]
+    the number of class-j neighbours of a class-i vertex).  For a positive
+    vector z, min_i (bz)_i / z_i <= rho(b) <= max_i (bz)_i / z_i (Collatz-
+    Wielandt; Horn & Johnson, *Matrix Analysis*, section 8.1), whichever
+    solver produced z.  Each ratio is computed with relative error at most
+    gamma_{k+1} for b of order k (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 3.1), so both ends are widened by
+    2(k+2)u >= gamma_{k+2} and rounded outward.  The bound is tight only
+    when b is irreducible (a connected graph) and z near its Perron vector.
+
+    A zero, subnormal or non-finite entry of z gives no certificate: None.
+    """
+    zs = z.tolist()
+    # A finite sum rules out nan and infinite entries, and then the least
+    # entry rules out zero and subnormal ones.
+    if not (math.isfinite(sum(zs)) and min(zs) >= _TINY):
+        return None
+    ratios = ((b @ z) / z).tolist()
+    widen = 2.0 * (len(zs) + 2) * _UNIT_ROUNDOFF
+    lo = min(ratios) * math.nextafter(1.0 - widen, 0.0)
+    hi = max(ratios) * math.nextafter(1.0 + widen, math.inf)
+    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
 
 
 @functools.cache
@@ -164,7 +203,8 @@ def _jacobi_eigh(a, sweep_tol=1e-14, max_sweeps=60):
 def rho_dense(g):
     """Spectral radius by full Jacobi eigendecomposition (n <= 64).
 
-    Exists as an independent oracle for the power iteration.  A sweep is
+    The public dense solver, independent of power iteration and of any
+    library eigensolver, so tests use it as an oracle.  A sweep is
     n - 1 or n rounds of disjoint rotations, each three n-by-n matrix
     products, so the Python overhead is per round, not per pair;
     ``iterations`` reports the sweeps, and ``converged`` is false when
@@ -185,20 +225,6 @@ def rho_dense(g):
         vec = vec / nrm
     res = float(np.abs(g.adjacency(float) @ vec - rho * vec).max())
     return SpectralResult(rho, vec, res, sweeps, "dense", converged=converged)
-
-
-def dense_radius(a):
-    """Largest eigenvalue of a symmetric matrix, by the Jacobi oracle.
-
-    Raises :class:`SpectralError` when the sweeps run out first, since the
-    value then need not be an eigenvalue at all.
-    """
-    eigvals, _, sweeps, converged = _jacobi_eigh(a)
-    if not converged:
-        raise SpectralError(
-            f"Jacobi did not converge on a matrix of order {len(a)} after {sweeps} sweeps"
-        )
-    return float(max(eigvals, default=0.0))
 
 
 def perron_normalized(g, subset, tol=DEFAULT_TOL):

@@ -287,13 +287,52 @@ class TestSpex:
         assert len(hosts) == 1
         assert canonical_form(hosts[0]) == canonical_form(complete(3))
 
-    def test_oracle_disagreement_raises(self, monkeypatch):
-        real = extremal.dense_radius
-        monkeypatch.setattr(extremal, "dense_radius", lambda a: real(a) + 1e-6)
-        with pytest.raises(SpectralError, match="oracles disagree"):
+    def test_power_value_off_its_bracket_raises(self, monkeypatch):
+        real = extremal.power_radius
+
+        def shifted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return dataclasses.replace(res, rho=res.rho + 1e-6) if res.converged else res
+
+        monkeypatch.setattr(extremal, "power_radius", shifted)
+        with pytest.raises(SpectralError, match="outside its certified bracket"):
             spex(enumerate_embeddings(30, 2, 3))
-        with pytest.raises(SpectralError, match="oracles disagree"):
+        with pytest.raises(SpectralError, match="outside its certified bracket"):
             spex(enumerate_m_edge(3))
+        with pytest.raises(SpectralError, match="outside its certified bracket"):
+            verify_multi_set(MultipartiteEmbedding((3, 3), (complete(2), None)))
+
+    @pytest.mark.parametrize("family", ["tnrk", 3, 4, 5])
+    def test_lazy_refinement_matches_eager(self, family):
+        # Eager reference: every member converged, as spex did before it
+        # refined lazily; winners, top and runner-up must match bit for bit.
+        if family == "tnrk":
+            rng = random.Random(9)
+            grid = [(n, r, k) for r in (2, 3) for k in (2, 3, 4, 5) for n in range(r * k, 61)]
+            families = [
+                enumerate_embeddings(n, r, k - 1).members
+                for n, r, k in grid if rng.random() < 1 / 3
+            ]
+        else:
+            families = [enumerate_m_edge(family).members]
+        for members in families:
+            rhos = []
+            for m in members:
+                if isinstance(m, MultipartiteEmbedding):
+                    a, sizes = m.quotient()
+                else:
+                    a, sizes = m.adjacency(float), [1] * m.n
+                res = extremal.power_radius(a, sizes, tol=1e-12)
+                assert res.converged
+                rhos.append(res.rho)
+            top = max(rhos)
+            tol = extremal.SPEX_TIE_TOL
+            others = [rho for rho in rhos if rho < top - tol]
+            winners = [m for m, rho in zip(members, rhos) if rho >= top - tol]
+            detail = extremal._spex_detail(members)
+            assert detail.top == top
+            assert list(map(id, detail.winners)) == list(map(id, winners))
+            assert detail.runner_up == (max(others) if others else None)
 
     def test_agrees_with_library_eigensolver(self, rng):
         members = enumerate_m_edge(4).members
@@ -438,8 +477,11 @@ class TestPowerIterationConvergence:
     def test_unconverged_radius_raises(self, monkeypatch):
         real = extremal.power_radius
 
-        def stalled(a, sizes, tol=1e-12):
-            return dataclasses.replace(real(a, sizes, tol=tol), converged=False)
+        def stalled(a, sizes, tol=1e-12, max_iterations=10**6, start=None):
+            return dataclasses.replace(
+                real(a, sizes, tol=tol, max_iterations=max_iterations, start=start),
+                converged=False,
+            )
 
         monkeypatch.setattr(extremal, "power_radius", stalled)
         with pytest.raises(SpectralError, match="did not converge"):

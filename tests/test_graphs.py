@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from walkspectra import (
 from walkspectra.graphs import turan_part_sizes
 from walkspectra.spectral import power_radius
 
-from conftest import eig_rho
+from conftest import eig_rho, random_graph
 
 
 @st.composite
@@ -69,6 +70,15 @@ class TestConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphError, match="out of range"):
             Graph.from_edge_list(3, [(0, 3)])
+
+    def test_neighbor_lists_match_per_row_reference(self, rng):
+        graphs = [empty(0), empty(1), empty(7), star(5).add_isolated(3)]
+        graphs += [disjoint_union(empty(2), cycle(5)).add_isolated(1)]
+        graphs += [random_graph(rng, rng.randint(1, 200), rng.random()) for _ in range(40)]
+        for g in graphs:
+            reference = tuple(tuple(np.flatnonzero(row).tolist()) for row in g.adj)
+            assert g.neighbor_lists == reference
+            assert all(type(v) is int for vs in g.neighbor_lists for v in vs)
 
     def test_adjacency_is_immutable(self):
         g = complete(3)

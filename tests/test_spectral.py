@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import eig_rho, random_connected_graph, random_graph
 from walkspectra import (
+    Graph,
+    MultipartiteEmbedding,
     SpectralError,
     complete,
     complete_multipartite,
@@ -21,9 +24,9 @@ from walkspectra import (
     star,
     turan,
 )
-from walkspectra import spectral
+from walkspectra import extremal, spectral
 from walkspectra.extremal import sample_embedding
-from walkspectra.spectral import _jacobi_eigh, _round_robin
+from walkspectra.spectral import _jacobi_eigh, _round_robin, collatz_wielandt, power_radius
 
 
 @st.composite
@@ -90,6 +93,20 @@ class TestRhoPower:
         with pytest.raises(SpectralError):
             rho_power(complete(3), tol=0.0)
 
+    @pytest.mark.parametrize("stops", [(1,), (5, 6, 40), (16, 32, 48, 64, 326)])
+    def test_resumed_run_walks_the_same_iterates(self, stops):
+        q, sizes = MultipartiteEmbedding((29, 30), (star(5), None)).quotient()
+        whole = power_radius(q, sizes)
+        assert whole.iterations == 327
+        res = None
+        for stop in stops:
+            res = power_radius(q, sizes, max_iterations=stop, start=res)
+            assert not res.converged and res.iterations == stop
+        res = power_radius(q, sizes, start=res)
+        assert res.converged and res.iterations == whole.iterations
+        assert (res.rho, res.residual) == (whole.rho, whole.residual)
+        assert res.vector.tobytes() == whole.vector.tobytes()
+
 
 class TestRhoDense:
     def test_star(self):
@@ -132,8 +149,6 @@ class TestRhoDense:
         res = rho_dense(g)
         assert not res.converged
         assert abs(res.rho - eig_rho(g)) > 1e-3
-        with pytest.raises(SpectralError, match="did not converge"):
-            spectral.dense_radius(g.adjacency(float))
 
 
 class TestJacobi:
@@ -160,6 +175,65 @@ class TestJacobi:
         assert np.abs(np.sort(w) - np.linalg.eigvalsh(a)).max() <= 1e-11 * scale
         assert np.abs(v.T @ v - np.eye(len(a))).max() <= 1e-12
         assert np.abs(a @ v - v * w).max() <= 1e-11 * scale
+
+
+def _lollipop(clique, tail):
+    edges = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
+    edges += [(clique - 1 + i, clique + i) for i in range(tail)]
+    return Graph.from_edge_list(clique + tail, edges)
+
+
+@st.composite
+def radius_members(draw):
+    """(kind, member): a sampled embedding, or a graph: K_n, K_{a,b}, a
+    dense connected random graph, a sparse random graph (connected or
+    not), or two random connected graphs side by side."""
+    kind = draw(st.sampled_from(("embedding", "complete", "bipartite", "dense", "sparse", "disjoint")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "embedding":
+        return kind, sample_embedding(rng)
+    n = draw(st.integers(1, 40))
+    if kind == "complete":
+        return kind, complete(n)
+    if kind == "bipartite":
+        return kind, complete_multipartite((n, draw(st.integers(1, 40))))
+    if kind == "dense":
+        return kind, random_connected_graph(rng, n, draw(st.floats(0.5, 1.0)))
+    if kind == "sparse":
+        return kind, random_graph(rng, n, draw(st.floats(0.0, 0.5)))
+    return kind, disjoint_union(
+        random_connected_graph(rng, rng.randint(1, 12), rng.random()),
+        random_connected_graph(rng, rng.randint(1, 12), rng.random()),
+    )
+
+
+class TestCollatzWielandt:
+    @settings(max_examples=80)
+    @given(radius_members())
+    @example(("complete", complete(1)))
+    @example(("sparse", empty(6)))
+    @example(("disjoint", disjoint_union(complete(4), star(6))))
+    @example(("lollipop", _lollipop(12, 12)))
+    def test_bracket_holds_radius(self, kind_member):
+        kind, member = kind_member
+        res, (lo, hi) = extremal._radius(member)
+        g = member.realize() if isinstance(member, MultipartiteEmbedding) else member
+        rho = eig_rho(g)
+        assert lo <= rho <= hi
+        assert lo <= res.rho <= hi
+        # The iteration stops on an absolute residual, so a vertex with a
+        # tiny Perron entry (the far end of a pendant path: the lollipop's
+        # converged bracket is 0.096 rho wide) has a loose ratio.  Where the
+        # entries are comparable, the converged bracket is tight.
+        if kind in ("embedding", "complete", "bipartite", "dense"):
+            assert hi - lo <= 1e-9 * rho
+
+    @pytest.mark.parametrize("bad", [0.0, 1e-310, math.nan, math.inf, -1.0])
+    def test_no_certificate_without_a_positive_vector(self, bad):
+        b = complete(3).adjacency(float)
+        lo, hi = collatz_wielandt(b, np.ones(3))
+        assert lo < 2.0 < hi and hi - lo < 1e-14
+        assert collatz_wielandt(b, np.array([1.0, bad, 1.0])) is None
 
 
 class TestPerronNormalized:
