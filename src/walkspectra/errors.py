@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and an integer check."""
+
+import operator
+
+
+def indices(values, error, what):
+    """``values`` as a tuple of ints, or ``error`` naming ``what``: a float
+    or other non-integer is refused where ``int()`` would truncate it."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise error(f"{what} must be integers") from None
 
 
 class GraphError(ValueError):

@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import FormatError, GraphError, SeriesError, SpectralError
+from .errors import FormatError, GraphError, SeriesError, SpectralError, indices
 from .graphio import read_graph6, to_graph6, write_graph6
 from .graphs import (
     MultipartiteEmbedding,
@@ -56,7 +56,7 @@ M_EDGE_LIMIT = 7
 M_EDGE_COUNTS = (1, 2, 5, 11, 26, 68, 177)
 EMBED_EDGE_LIMIT = 5
 SPEX_TIE_TOL = 1e-9
-ORACLE_AGREEMENT = 1e-9
+SAMPLE_TRIES = 200
 
 # Power steps between two bracket checks while spex refines a member that
 # its bracket may yet certify out of contention.
@@ -245,7 +245,6 @@ def sample_embedding(
     part_range=(3, 30),
     t_range=(1, 5),
     cache_dir=None,
-    max_tries=200,
 ):
     """Random embedding: r parts with sizes in part_range and t embedded
     edges split uniformly over the parts, each part's host drawn from the
@@ -253,7 +252,7 @@ def sample_embedding(
     Each edge count's family is enumerated (or read from the cache) at most
     once per call."""
     families = {}
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         r = rng.randint(*r_range)
         sizes = [rng.randint(*part_range) for _ in range(r)]
         t = rng.randint(*t_range)
@@ -355,7 +354,8 @@ class _SpexDetail:
     runner_up: float | None
 
 
-def _spex_detail(members, tol=SPEX_TIE_TOL):
+def _spex_detail(members):
+    tol = SPEX_TIE_TOL
     members = list(members)
     if not members:
         raise ValueError("family must be nonempty")
@@ -388,8 +388,8 @@ def _spex_detail(members, tol=SPEX_TIE_TOL):
     return _SpexDetail(top=top, winners=winners, runner_up=runner_up)
 
 
-def spex(family, tol=SPEX_TIE_TOL):
-    """Members of maximum spectral radius, ties within tol kept.
+def spex(family):
+    """Members of maximum spectral radius, ties within tol = SPEX_TIE_TOL kept.
 
     Radii come from power iteration on each embedding's twin-class quotient
     (a graph's adjacency matrix), each iterate bracketed by a certified
@@ -400,10 +400,11 @@ def spex(family, tol=SPEX_TIE_TOL):
     So every member not certified below the top minus tol is converged, and
     the winners are the converged members within tol of the largest
     converged value.  Each converged value must lie in its bracket, or
-    :class:`SpectralError` is raised.
+    :class:`SpectralError` is raised.  Ties are not decided on brackets
+    alone: a converged graph bracket can be far wider than tol.
     """
     members = family.members if isinstance(family, EnumerationFamily) else family
-    return _spex_detail(members, tol=tol).winners
+    return _spex_detail(members).winners
 
 
 # ---- verifiers -------------------------------------------------------------
@@ -413,20 +414,22 @@ def _canon_set(graphs):
     return {canonical_form(g).data for g in graphs}
 
 
+def _inapplicable(theorem, params, reason, **details):
+    """An ``inapplicable`` report; ``reason`` comes first in its details."""
+    return VerificationReport(
+        theorem, params, "inapplicable", details={"reason": reason, **details}
+    )
+
+
 def verify_lemma_2degree(n, m, cache_dir=None):
     """Second-level filter of the order-n m-edge family: the star plus
     isolated vertices, with the triangle tying exactly at m = 3.  The family
     is read from, or written to, ``cache_dir`` when one is given."""
+    params = {"n": n, "m": m}
     if not 1 <= m <= 6:
-        return VerificationReport(
-            "lemma-2degree", {"n": n, "m": m}, "inapplicable",
-            details={"reason": "m out of verified range 1..6"},
-        )
+        return _inapplicable("lemma-2degree", params, "m out of verified range 1..6")
     if not (m + 2 <= n <= 14):
-        return VerificationReport(
-            "lemma-2degree", {"n": n, "m": m}, "inapplicable",
-            details={"reason": "n out of verified range m+2..14"},
-        )
+        return _inapplicable("lemma-2degree", params, "n out of verified range m+2..14")
     family = enumerate_m_edge_order(n, m, cache_dir=cache_dir)
     survivors = ex_filter(family.members, 2)
     expected = [star(m + 1).add_isolated(n - m - 1)]
@@ -435,7 +438,7 @@ def verify_lemma_2degree(n, m, cache_dir=None):
     verdict = "pass" if _canon_set(survivors) == _canon_set(expected) else "fail"
     return VerificationReport(
         theorem="lemma-2degree",
-        parameters={"n": n, "m": m},
+        parameters=params,
         verdict=verdict,
         witnesses=sorted(to_graph6(g) for g in survivors),
         details={
@@ -451,10 +454,7 @@ def verify_corollary_2inf(m, cache_dir=None):
     singleton, and level 3 already equals the stable limit.  The family is
     read from, or written to, ``cache_dir`` when one is given."""
     if not 1 <= m <= 6:
-        return VerificationReport(
-            "cor-2inf", {"m": m}, "inapplicable",
-            details={"reason": "m out of verified range 1..6"},
-        )
+        return _inapplicable("cor-2inf", {"m": m}, "m out of verified range 1..6")
     family = enumerate_m_edge(m, cache_dir=cache_dir)
     lvl2 = ex_filter(family.members, 2)
     lvl3 = ex_filter(family.members, 3)
@@ -484,7 +484,7 @@ def verify_corollary_2inf(m, cache_dir=None):
     )
 
 
-def verify_one_set(s_size, t_size, host1, host2, n_range, tol=ORACLE_AGREEMENT):
+def verify_one_set(s_size, t_size, host1, host2, n_range):
     """Check that the walk comparison of two hosts predicts the ordering of
     the spectral radii of their embeddings, once the ambient graph is large.
 
@@ -493,9 +493,11 @@ def verify_one_set(s_size, t_size, host1, host2, n_range, tol=ORACLE_AGREEMENT):
     ``t_size`` independent vertices: the complete (s_size+1)-partite
     embedding with single-vertex parts and the host in the last part, whose
     radius is taken on its quotient, of order s_size + t_size + 1 at any n.
-    Reports the least tested n from which the sign of the radius difference
-    matches the certificate for all larger tested n (the observed onset); a
-    difference within ``tol`` of zero may be a tie, so it never matches.
+    Reports the least tested n from which the radius order matches the
+    certificate for all larger tested n (the observed onset).  The order
+    at n is known only when the two certified brackets are disjoint, so an
+    overlap, as at a tie, never matches an order; an EQUAL certificate
+    fails at any n whose brackets are disjoint.
     """
     if s_size < 1:
         raise GraphError("clique side must have at least one vertex")
@@ -505,7 +507,7 @@ def verify_one_set(s_size, t_size, host1, host2, n_range, tol=ORACLE_AGREEMENT):
     h2 = host2.add_isolated(t_size - host2.n)
     cert = walk_compare(h1, h2)
 
-    ns = sorted(set(int(n) for n in n_range))
+    ns = sorted(set(indices(n_range, GraphError, "n values")))
     if not ns:
         raise GraphError("empty n range")
     if ns[0] < s_size + t_size:
@@ -515,22 +517,24 @@ def verify_one_set(s_size, t_size, host1, host2, n_range, tol=ORACLE_AGREEMENT):
 
     def radius(host, n):
         parts = (1,) * s_size + (n - s_size,)
-        return _radius(MultipartiteEmbedding(parts, (None,) * s_size + (host,)))[0].rho
+        return _radius(MultipartiteEmbedding(parts, (None,) * s_size + (host,)))
 
-    diffs = [(n, radius(h1, n) - radius(h2, n)) for n in ns]
+    diffs, signs = [], []
+    for n in ns:
+        (res1, (lo1, hi1)), (res2, (lo2, hi2)) = radius(h1, n), radius(h2, n)
+        diffs.append((n, res1.rho - res2.rho))
+        signs.append(1 if lo1 > hi2 else -1 if hi1 < lo2 else 0)
 
     if cert.ordering is Ordering.EQUAL:
-        ok_all = all(abs(d) <= tol for _, d in diffs)
-        onset = ns[0] if ok_all else None
-        verdict = "pass" if ok_all else "fail"
+        onset = None if any(signs) else ns[0]
     else:
-        want = 1.0 if cert.ordering is Ordering.GREATER else -1.0
+        want = 1 if cert.ordering is Ordering.GREATER else -1
         onset = None
-        for n, d in reversed(diffs):
-            if d * want <= tol:
+        for n, sign in zip(reversed(ns), reversed(signs)):
+            if sign != want:
                 break
             onset = n
-        verdict = "pass" if onset is not None else "fail"
+    verdict = "pass" if onset is not None else "fail"
 
     return VerificationReport(
         theorem="one-set",
@@ -569,21 +573,13 @@ def verify_multi_set(embedding, tol=1e-8):
         "delta": embedding.delta,
     }
     if not measured.rho > embedding.delta:
-        return VerificationReport(
-            "multi-set", params, "inapplicable",
-            details={
-                "reason": "spectral radius does not exceed max host degree",
-                "rho_power": measured.rho,
-            },
-        )
+        reason = "spectral radius does not exceed max host degree"
+        return _inapplicable("multi-set", params, reason, rho_power=measured.rho)
     try:
         ev = f_resolvent(embedding, measured.rho)
         solved = solve_rho_series(embedding, tol=min(tol, 1e-10))
     except SeriesError as exc:  # includes HypothesisNotMet
-        return VerificationReport(
-            "multi-set", params, "inapplicable",
-            details={"reason": str(exc), "rho_power": measured.rho},
-        )
+        return _inapplicable("multi-set", params, str(exc), rho_power=measured.rho)
     gap = max(0.0, ev.value_lo - target, target - ev.value_hi)
     identity_ok = gap <= tol
     solver_ok = solved.converged and abs(solved.rho - measured.rho) <= tol
@@ -620,19 +616,15 @@ def verify_corollary_tnrk(n, r, k, cache_dir=None):
     to, ``cache_dir`` when one is given.
     """
     if r < 2 or not 2 <= k <= 6:
-        return VerificationReport(
-            "cor-tnrk", {"n": n, "r": r, "k": k}, "inapplicable",
-            details={"reason": "parameters out of verified range"},
+        return _inapplicable(
+            "cor-tnrk", {"n": n, "r": r, "k": k}, "parameters out of verified range"
         )
     t = k - 1
     sizes = turan_part_sizes(n, r)
     expected_host = _expected_tnrk_host(k)
     params = {"n": n, "r": r, "k": k, "part_sizes": list(sizes)}
     if expected_host.n > sizes[0]:
-        return VerificationReport(
-            "cor-tnrk", params, "inapplicable",
-            details={"reason": "expected host does not fit a smallest part"},
-        )
+        return _inapplicable("cor-tnrk", params, "expected host does not fit a smallest part")
     family = enumerate_embeddings(n, r, t, cache_dir=cache_dir)
     detail = _spex_detail(family.members)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphError
+from .errors import GraphError, indices
 
 __all__ = [
     "Graph",
@@ -307,7 +307,7 @@ def complement(g):
 
 # ---- canonical forms -----------------------------------------------------
 
-DEFAULT_CANON_LIMIT = 10
+CANON_LIMIT = 10
 
 # Permutation search explodes on large color classes; canonicalization is
 # only ever needed on small components here.
@@ -416,29 +416,24 @@ def _component_canonical(nbrs):
     return best
 
 
-def canonical_form(g, limit=DEFAULT_CANON_LIMIT):
+def canonical_form(g):
     """Canonical byte form of g's isomorphism class.
 
     Isolated vertices are stripped and connected components are
     canonicalized independently, so the permutation search is bounded by
-    the largest component rather than the whole graph.  The size limit
-    (default 10) applies per component, on every call.  The form is
-    computed once per graph and kept on it; graphs are immutable, so it
-    cannot go stale.
+    the largest component rather than the whole graph; a component of more
+    than ``CANON_LIMIT`` vertices is refused.  The form is computed once
+    per graph and kept on it; graphs are immutable, so it cannot go stale.
     """
-    if g._canon is not None:
-        largest, form = g._canon
-    else:
+    if g._canon is None:
         comps = [c for c in g.components() if len(c) > 1]
-        largest, form = max(map(len, comps), default=0), None
-    if largest > limit:
-        raise GraphError(
-            f"component of {largest} vertices exceeds canonicalization limit {limit}"
-        )
-    if form is None:
-        form = _assemble_form(g, comps)
-        g._canon = largest, form
-    return form
+        largest = max(map(len, comps), default=0)
+        if largest > CANON_LIMIT:
+            raise GraphError(
+                f"component of {largest} vertices exceeds canonicalization limit {CANON_LIMIT}"
+            )
+        g._canon = _assemble_form(g, comps)
+    return g._canon
 
 
 def _assemble_form(g, comps):
@@ -473,7 +468,7 @@ class MultipartiteEmbedding:
     __slots__ = ("part_sizes", "hosts")
 
     def __init__(self, part_sizes, hosts=None):
-        part_sizes = tuple(int(s) for s in part_sizes)
+        part_sizes = indices(part_sizes, GraphError, "part sizes")
         if len(part_sizes) < 2:
             raise GraphError("embedding needs at least two parts")
         if any(s < 1 for s in part_sizes):
@@ -543,7 +538,7 @@ class MultipartiteEmbedding:
         q = MultipartiteEmbedding(cut, self.hosts).realize().adjacency(float)
         return q * np.sqrt(np.outer(sizes, sizes)), sizes
 
-    def key(self, limit=DEFAULT_CANON_LIMIT):
+    def key(self):
         """Equivalence key: parts of equal size are interchangeable and host
         placement inside a part is label-free."""
         items = []
@@ -551,7 +546,7 @@ class MultipartiteEmbedding:
             if host is None or host.num_edges == 0:
                 items.append((size, b""))
             else:
-                items.append((size, canonical_form(host, limit=limit).data))
+                items.append((size, canonical_form(host).data))
         return tuple(sorted(items))
 
     def __eq__(self, other):

@@ -151,9 +151,7 @@ def _host_tail(host, x, depth):
     bound = tail_bound(host.n, host.max_degree(), x, depth)
     e = host.num_edges
     if x > e:
-        num = Ival(2.0) * powers(Ival(float(e)), depth + 1)[depth + 1]
-        den = powers(Ival(float(x)), depth)[depth] * (Ival(float(x)) - float(e))
-        bound = min(bound, (num / den).hi)
+        bound = min(bound, tail_bound(2, e, x, depth))
     return bound
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpectralError
+from .errors import SpectralError, indices
 
 __all__ = [
     "SpectralResult",
@@ -33,6 +33,8 @@ DENSE_LIMIT = 64
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 1_000_000
+JACOBI_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 60
 _UNIT_ROUNDOFF = 2.0**-53
 _TINY = sys.float_info.min  # the least positive normal float
 
@@ -56,9 +58,9 @@ class SpectralResult:
     depth: int | None = None
 
 
-def rho_power(g, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
+def rho_power(g, tol=DEFAULT_TOL):
     """Spectral radius of g by :func:`power_radius`, one vertex per class."""
-    return power_radius(g.adjacency(float), [1] * g.n, tol, max_iterations)
+    return power_radius(g.adjacency(float), [1] * g.n, tol, MAX_ITERATIONS)
 
 
 def power_radius(a, sizes, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS, start=None):
@@ -151,15 +153,15 @@ def _round_robin(n):
     return tuple(rounds)
 
 
-def _jacobi_eigh(a, sweep_tol=1e-14, max_sweeps=60):
+def _jacobi_eigh(a):
     """Eigen-decomposition of a symmetric matrix by Jacobi rotations in
     round-robin order.
 
     Returns (eigenvalues, eigenvector columns, sweeps, converged), where
-    converged is false when the off-diagonal is still above ``sweep_tol``
-    (relative to the largest entry) after ``max_sweeps``.  A sweep is the
-    rounds of :func:`_round_robin`; each round rotates its disjoint pairs at
-    once, as one orthogonal J with A <- J^T A J and V <- V J.  Rotations on
+    converged is false when the off-diagonal is still above ``JACOBI_TOL``
+    (relative to the largest entry) after ``JACOBI_MAX_SWEEPS``.  A sweep is
+    the rounds of :func:`_round_robin`; each round rotates its disjoint pairs
+    at once, as one orthogonal J with A <- J^T A J and V <- V J.  Rotations on
     disjoint pairs commute, so a round is the same as its rotations applied
     one by one (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985; Golub &
     Van Loan, *Matrix Computations*, section 8.5).  Pairs whose entry is
@@ -173,10 +175,10 @@ def _jacobi_eigh(a, sweep_tol=1e-14, max_sweeps=60):
     if n < 2:
         return np.diagonal(a).copy(), v, 0, True
     scale = max(1.0, float(np.abs(a).max()))
-    skip = 0.01 * sweep_tol * scale
+    skip = 0.01 * JACOBI_TOL * scale
     sweeps = 0
-    while float(np.abs(np.triu(a, 1)).max()) > sweep_tol * scale:
-        if sweeps == max_sweeps:
+    while float(np.abs(np.triu(a, 1)).max()) > JACOBI_TOL * scale:
+        if sweeps == JACOBI_MAX_SWEEPS:
             return np.diagonal(a).copy(), v, sweeps, False
         sweeps += 1
         for p, q in _round_robin(n):
@@ -230,7 +232,7 @@ def rho_dense(g):
 def perron_normalized(g, subset, tol=DEFAULT_TOL):
     """Perron vector of a connected graph rescaled so the entries of
     ``subset`` sum to the spectral radius."""
-    subset = sorted(set(int(u) for u in subset))
+    subset = sorted(set(indices(subset, SpectralError, "normalization subset entries")))
     if not subset:
         raise SpectralError("normalization subset must be nonempty")
     if subset[0] < 0 or subset[-1] >= g.n:

@@ -5,6 +5,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import eig_rho
@@ -12,6 +13,7 @@ from walkspectra import (
     Graph,
     GraphError,
     SpectralError,
+    SpectralResult,
     MultipartiteEmbedding,
     canonical_form,
     complete,
@@ -334,6 +336,14 @@ class TestSpex:
             assert list(map(id, detail.winners)) == list(map(id, winners))
             assert detail.runner_up == (max(others) if others else None)
 
+    def test_loose_graph_bracket_does_not_tie(self):
+        # The pendant path leaves the second graph's bracket about 0.1 rho
+        # wide, overlapping the clique's; the radii differ by 7.7e-3, so
+        # the tie tolerance, not the brackets, rules the clique out.
+        clique = complete(12).add_isolated(12)
+        pendant = clique.with_edges([(11, 12)] + [(v, v + 1) for v in range(12, 23)])
+        assert spex([clique, pendant]) == [pendant]
+
     def test_agrees_with_library_eigensolver(self, rng):
         members = enumerate_m_edge(4).members
         by_eig = max(members, key=eig_rho)
@@ -400,6 +410,38 @@ class TestVerifyOneSet:
     def test_host_must_fit(self):
         with pytest.raises(GraphError):
             verify_one_set(2, 3, star(4), complete(3), range(7, 10))
+
+    def test_n_values_must_be_integers(self):
+        # int() would truncate these to n = 7 and 8.
+        with pytest.raises(GraphError, match="integers"):
+            verify_one_set(3, 4, complete(3), star(4), [7.5, 8.9])
+        rep = verify_one_set(3, 4, complete(3), star(4), np.arange(7, 9))
+        assert rep.parameters["n_max"] == 8 and type(rep.parameters["n_max"]) is int
+
+    @pytest.mark.parametrize(
+        "host2, gap, half, verdict",
+        [
+            (star(4), 5e-10, 1e-10, "pass"),  # disjoint brackets decide a small gap
+            (star(4), 2e-9, 2e-9, "fail"),  # overlapping brackets decide nothing
+            # An isomorphic copy, so the walk order is EQUAL; disjoint brackets
+            # contradict it.
+            (Graph.from_edge_list(4, [(1, 2), (2, 3), (1, 3)]), 5e-10, 1e-10, "fail"),
+        ],
+        ids=["disjoint", "overlap", "equal-disjoint"],
+    )
+    def test_order_decided_on_brackets(self, monkeypatch, host2, gap, half, verdict):
+        # Stand-in radii: the triangle's embedding gets 10 + gap, the other
+        # host's 10, each bracketed by +-half.
+        triangle = complete(3).add_isolated(1)
+
+        def fake(member):
+            rho = 10.0 + (gap if member.hosts[-1] == triangle else 0.0)
+            return SpectralResult(rho, None, 0.0, 1, "power"), (rho - half, rho + half)
+
+        monkeypatch.setattr(extremal, "_radius", fake)
+        rep = verify_one_set(3, 4, complete(3), host2, range(7, 12))
+        assert rep.verdict == verdict
+        assert rep.details["onset"] == (7 if verdict == "pass" else None)
 
     @pytest.mark.parametrize("ulps", [-16, 16])
     def test_exact_tie_never_orders(self, monkeypatch, ulps):

@@ -198,7 +198,7 @@ class TestCanonicalForm:
 
     def test_limit_enforced(self):
         with pytest.raises(GraphError, match="limit"):
-            canonical_form(path(12), limit=10)
+            canonical_form(path(12))
         # isolated vertices do not count against the component limit
         canonical_form(star(5).add_isolated(20))
 
@@ -212,15 +212,6 @@ class TestCanonicalForm:
         assert canonical_form(Graph(g.adj)).data == form.data
         perm = [4, 7, 0, 8, 2, 6, 1, 3, 5]
         assert canonical_form(g.relabel(perm)).data == form.data
-
-    def test_limit_enforced_after_form_kept(self):
-        g = disjoint_union(path(8), cycle(3))
-        with pytest.raises(GraphError, match="limit 7"):
-            canonical_form(g, limit=7)
-        form = canonical_form(g)
-        with pytest.raises(GraphError, match="component of 8 vertices exceeds"):
-            canonical_form(g, limit=7)
-        assert canonical_form(g, limit=8) is form
 
 
 class TestEmbedding:
@@ -244,6 +235,13 @@ class TestEmbedding:
     def test_host_must_fit(self):
         with pytest.raises(GraphError, match="fit"):
             MultipartiteEmbedding((2, 3), (star(4), None))
+
+    def test_part_sizes_must_be_integers(self):
+        # int() would truncate these to parts (3, 4).
+        with pytest.raises(GraphError, match="integers"):
+            MultipartiteEmbedding((3.7, 4.2), (None, star(4)))
+        e = MultipartiteEmbedding((np.int64(3), np.int32(4)), (None, star(4)))
+        assert e.part_sizes == (3, 4) and all(type(s) is int for s in e.part_sizes)
 
     def test_realize_part_structure(self, rng):
         from conftest import random_graph

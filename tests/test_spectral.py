@@ -1,4 +1,3 @@
-import functools
 import math
 import random
 
@@ -83,8 +82,9 @@ class TestRhoPower:
         g = disjoint_union(complete(4), path(3))
         assert rho_power(g).rho == pytest.approx(3.0, abs=1e-10)
 
-    def test_iteration_cap_reports_best(self):
-        res = rho_power(path(30), tol=1e-30, max_iterations=50)
+    def test_iteration_cap_reports_best(self, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_ITERATIONS", 50)
+        res = rho_power(path(30), tol=1e-30)
         assert not res.converged
         assert res.iterations == 50
         assert abs(res.rho - eig_rho(path(30))) < 1e-2
@@ -143,9 +143,7 @@ class TestRhoDense:
         # After one sweep on turan(9,3)+(0,1) the top diagonal entry is
         # 6.2174 against the true 6.2473, with residual 0.26.
         g = turan(9, 3).with_edges([(0, 1)])
-        monkeypatch.setattr(
-            spectral, "_jacobi_eigh", functools.partial(_jacobi_eigh, max_sweeps=1)
-        )
+        monkeypatch.setattr(spectral, "JACOBI_MAX_SWEEPS", 1)
         res = rho_dense(g)
         assert not res.converged
         assert abs(res.rho - eig_rho(g)) > 1e-3
@@ -257,6 +255,13 @@ class TestPerronNormalized:
     def test_rejects_empty_subset(self):
         with pytest.raises(SpectralError):
             perron_normalized(complete(3), [])
+
+    def test_subset_must_hold_integers(self):
+        # int() would truncate 1.7 to vertex 1.
+        with pytest.raises(SpectralError, match="integers"):
+            perron_normalized(complete(4), [1.7])
+        res = perron_normalized(star(5), [np.int64(0)])
+        assert res.vector == pytest.approx([2.0, 1.0, 1.0, 1.0, 1.0], abs=1e-9)
 
     def test_positive_entries_connected(self, rng):
         for _ in range(15):
