@@ -536,23 +536,26 @@ def verify_one_set(s_size, t_size, host1, host2, n_range):
             onset = n
     verdict = "pass" if onset is not None else "fail"
 
+    # A scan keeps one report per window, so the report is kept small:
+    # tuples, and one interned encoding per host, shared by both fields.
+    code1, code2 = sys.intern(to_graph6(h1)), sys.intern(to_graph6(h2))
     return VerificationReport(
         theorem="one-set",
         parameters={
             "s_size": s_size,
             "t_size": t_size,
-            "host1": to_graph6(h1),
-            "host2": to_graph6(h2),
+            "host1": code1,
+            "host2": code2,
             "n_min": ns[0],
             "n_max": ns[-1],
         },
         verdict=verdict,
-        witnesses=[to_graph6(h1), to_graph6(h2)],
+        witnesses=(code1, code2),
         details={
             "ordering": cert.ordering.value,
             "witness_index": cert.witness_index,
             "onset": onset,
-            "diffs": [[n, d] for n, d in diffs],
+            "diffs": tuple(diffs),
         },
     )
 
@@ -637,7 +640,7 @@ def verify_corollary_tnrk(n, r, k, cache_dir=None):
         theorem="cor-tnrk",
         parameters=params,
         verdict="pass" if ok else "fail",
-        witnesses=[repr(w) for w in winners],
+        witnesses=[sys.intern(repr(w)) for w in winners],
         details={
             "family_size": len(family),
             "rho_max": detail.top,

@@ -479,6 +479,25 @@ class TestVerifyOneSet:
         (lo1, hi1), (lo2, hi2) = brackets
         assert lo1 - hi2 <= rep.details["diffs"][0][1] <= hi1 - lo2
 
+    def test_n_1e5_returns(self):
+        # A fixed +1 shift would converge at about (rho - 1) / (rho + 1) on
+        # these quotients, past the 10**6-step cap; the Rayleigh-quotient
+        # shift needs about 40.  Each radius must lie in its series bracket.
+        n = 100_000
+        hosts = (from_graph6("IqK??????"), from_graph6("I{?G?????"))
+        rep = verify_one_set(1, 10, *hosts, [n])
+        ((m, diff),) = rep.details["diffs"]
+        assert m == n
+        brackets = []
+        for h in hosts:
+            e = MultipartiteEmbedding((1, n - 1), (None, h))
+            res, _ = extremal._radius(e)
+            lo, hi = solve_rho_series(e).bracket
+            assert res.iterations <= 60 and lo <= res.rho <= hi
+            brackets.append((lo, hi))
+        (lo1, hi1), (lo2, hi2) = brackets
+        assert lo1 - hi2 <= diff <= hi1 - lo2
+
 
 class TestVerifyMultiSet:
     def test_hostless(self):

@@ -93,11 +93,11 @@ class TestRhoPower:
         with pytest.raises(SpectralError):
             rho_power(complete(3), tol=0.0)
 
-    @pytest.mark.parametrize("stops", [(1,), (5, 6, 40), (16, 32, 48, 64, 326)])
+    @pytest.mark.parametrize("stops", [(1,), (5, 6, 20), (4, 8, 12, 16, 27)])
     def test_resumed_run_walks_the_same_iterates(self, stops):
         q, sizes = MultipartiteEmbedding((29, 30), (star(5), None)).quotient()
         whole = power_radius(q, sizes)
-        assert whole.iterations == 327
+        assert whole.iterations == 28
         res = None
         for stop in stops:
             res = power_radius(q, sizes, max_iterations=stop, start=res)
@@ -106,6 +106,44 @@ class TestRhoPower:
         assert res.converged and res.iterations == whole.iterations
         assert (res.rho, res.residual) == (whole.rho, whole.residual)
         assert res.vector.tobytes() == whole.vector.tobytes()
+
+    @pytest.mark.parametrize(
+        "parts, host", [((10**4, 10**4), path(2)), ((10**4, 10**4 + 1), None)]
+    )
+    def test_large_bipartite_quotient_in_few_steps(self, parts, host):
+        # Spectra near {rho, -rho, 0}: a fixed +1 shift would converge at
+        # about (rho - 1) / (rho + 1), past the 10**6-step cap; the shift by
+        # half the Rayleigh quotient gives about 1/3 at any size.
+        q, sizes = MultipartiteEmbedding(parts, (host, None)).quotient()
+        res = power_radius(q, sizes)
+        assert res.converged and res.iterations <= 40
+        assert res.rho == pytest.approx(np.linalg.eigvalsh(q)[-1], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "member, rho",
+        [
+            (path(8), 2 * math.cos(math.pi / 9)),
+            (star(9), math.sqrt(8)),
+            (complete_multipartite((3, 7)), math.sqrt(21)),
+            (MultipartiteEmbedding((10**4, 3 * 10**4)), math.sqrt(3e8)),
+            (complete(1), 0.0),
+            (empty(5), 0.0),
+            (disjoint_union(complete(4), path(3)), 3.0),
+            (disjoint_union(star(5), empty(2)), 2.0),
+        ],
+        ids=["P8", "K1,8", "K3,7", "K1e4,3e4", "K1", "empty", "K4+P3", "K1,4+2K1"],
+    )
+    def test_iterates_stay_positive_and_end_in_the_bracket(self, member, rho):
+        radius = extremal._Radius(member)
+        for _ in range(200):
+            radius.refine(1)
+            assert (radius.res.vector > 0).all()
+            if radius.res.converged:
+                break
+        assert radius.res.converged
+        lo, hi = radius.bracket
+        assert lo <= radius.res.rho <= hi
+        assert lo <= rho <= hi
 
 
 class TestRhoDense:
