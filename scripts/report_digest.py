@@ -1,0 +1,136 @@
+"""Print one sha256 per group of walkspectra outputs.
+
+Two checkouts that print the same digests give byte-identical reports on
+every group, so a change meant to keep outputs can be checked by running
+this script on both:
+
+    PYTHONPATH=src python scripts/report_digest.py [GROUP ...]
+
+Groups (all of them when none is named):
+
+    tnrk       the 468 cor-tnrk reports, r in {2, 3}, k in 2..5, n = r..60
+    onset      the 19 one-set pairs of bench/expected/onset_table.json, each
+               over n = 3 + t_size..200 with a 3-vertex clique side
+    multi-set  150 multi-set reports, ``sample_embedding`` seeds 0..149
+    spex       the spectral argmax (top, runner-up, winners) of the m-edge
+               families, m = 1..7
+    cli        the README's command lines, plus ``rho --method power``, each
+               in json, table and csv (exit code, stdout and stderr)
+
+Reports are rendered by the CLI's own JSON writer (17 significant digits).
+The script reads ``bench/expected`` and the README and writes only to a
+temporary directory.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import shlex
+import sys
+import tempfile
+
+from walkspectra import cli, extremal
+from walkspectra.graphio import from_graph6, to_graph6
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ONSET_S_SIZE = 3
+ONSET_N_MAX = 200
+MULTI_SET_SEEDS = 150
+
+# The edge-list files the README's command lines name.
+README_FILES = {
+    "k3.el": "3 3\n0 1\n0 2\n1 2\n",
+    "s3.el": "4 3\n0 1\n0 2\n0 3\n",
+}
+
+
+def _report(rep):
+    return cli.render_json(rep.as_dict())
+
+
+def tnrk():
+    for r in (2, 3):
+        for k in (2, 3, 4, 5):
+            for n in range(r, 61):
+                yield _report(extremal.verify_corollary_tnrk(n, r, k))
+
+
+def onset():
+    with open(os.path.join(ROOT, "bench", "expected", "onset_table.json"), encoding="utf-8") as fh:
+        rows = json.load(fh)
+    for row in rows:
+        t = row["t_size"]
+        ns = range(ONSET_S_SIZE + t, ONSET_N_MAX + 1)
+        h1, h2 = from_graph6(row["h1"]), from_graph6(row["h2"])
+        yield _report(extremal.verify_one_set(ONSET_S_SIZE, t, h1, h2, ns))
+
+
+def multi_set():
+    for seed in range(MULTI_SET_SEEDS):
+        emb = extremal.sample_embedding(random.Random(seed))
+        yield _report(extremal.verify_multi_set(emb))
+
+
+def spex():
+    for m in range(1, extremal.M_EDGE_LIMIT + 1):
+        detail = extremal._spex_detail(extremal.enumerate_m_edge(m).members)
+        yield cli.render_json({
+            "m": m,
+            "top": detail.top,
+            "runner_up": detail.runner_up,
+            "winners": [to_graph6(g) for g in detail.winners],
+        })
+
+
+def _readme_commands():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().split("## Command line", 1)[1].split("```")[1].splitlines()
+    cmds = [shlex.split(line)[1:] for line in lines if line.startswith("walkspectra ")]
+    return cmds + [["rho", "--family", "turan:7,3", "--method", "power"]]
+
+
+def commands():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in README_FILES.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for argv in _readme_commands():
+                for fmt in ("json", "table", "csv"):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli.main(argv + ["--format", fmt])
+                    head = f"$ {shlex.join(argv)} --format {fmt}\n{code}\n"
+                    yield head + out.getvalue() + err.getvalue()
+        finally:
+            os.chdir(cwd)
+
+
+GROUPS = {"tnrk": tnrk, "onset": onset, "multi-set": multi_set, "spex": spex, "cli": commands}
+
+
+def main(argv=None):
+    names = (sys.argv[1:] if argv is None else argv) or list(GROUPS)
+    unknown = [name for name in names if name not in GROUPS]
+    if unknown:
+        print(f"unknown group(s): {', '.join(unknown)}; choose from {', '.join(GROUPS)}",
+              file=sys.stderr)
+        return 2
+    for name in names:
+        digest, count = hashlib.sha256(), 0
+        for text in GROUPS[name]():
+            digest.update(text.encode("utf-8") + b"\n")
+            count += 1
+        print(f"{name:<9} {count:>4}  {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

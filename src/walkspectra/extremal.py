@@ -58,9 +58,9 @@ EMBED_EDGE_LIMIT = 5
 SPEX_TIE_TOL = 1e-9
 SAMPLE_TRIES = 200
 
-# Power steps between two bracket checks while spex refines a member that
-# its bracket may yet certify out of contention.
-_REFINE_STEPS = 16
+# Power steps of the screen that brackets every spex member before any
+# member that may win or be the runner-up is run to convergence.
+_SCREEN_STEPS = 8
 
 
 @dataclass
@@ -280,71 +280,47 @@ def sample_embedding(
 # ---- spectral argmax -------------------------------------------------------
 
 
-class _Radius:
-    """A member's power iteration on its twin-class quotient (a graph's
-    adjacency matrix), resumable, with the certified Collatz-Wielandt
-    bracket of its latest iterate (``(-inf, inf)`` when that iterate gives
-    no certificate).
+def _radius(member, steps=MAX_ITERATIONS):
+    """Power-iteration radius of an embedding's twin-class quotient (a
+    graph's adjacency matrix) after at most ``steps`` steps, and the
+    certified Collatz-Wielandt bracket of its last iterate (``(-inf, inf)``
+    when that iterate gives no certificate).
 
     The bracket is taken on the integer quotient B, B[i][j] the number of
     class-j neighbours of a class-i vertex, at z = x/sqrt(sizes); B is
     similar to the symmetric quotient the iteration runs on.  A graph's
     radius is its largest component radius, so each component with an edge
     is bracketed on its own and the bracket is their maximum.
+
+    Raises when a full run does not converge, and when a converged value
+    lies outside its bracket, so neither feeds a verdict.
     """
-
-    __slots__ = ("a", "sizes", "blocks", "res", "bracket")
-
-    def __init__(self, member):
-        if isinstance(member, MultipartiteEmbedding):
-            self.a, self.sizes = member.quotient()
-            # An embedding's quotient is connected: one block.
-            self.blocks = [((self.a > 0) * self.sizes, np.sqrt(self.sizes), slice(None))]
-        else:
-            self.a, self.sizes = member.adjacency(float), [1] * member.n
-            self.blocks = [
-                (self.a[np.ix_(c, c)], 1.0, c) for c in member.components() if len(c) > 1
-            ]
-        self.res = None
-        self.bracket = (-math.inf, math.inf)
-
-    def refine(self, steps=None):
-        """Run ``steps`` more power steps, or on to convergence when None.
-
-        Raises unless the run converged or stopped at the step count asked
-        for below the iteration cap, and when a converged value lies
-        outside its bracket.
-        """
-        done = 0 if self.res is None else self.res.iterations
-        budget = MAX_ITERATIONS if steps is None else min(done + steps, MAX_ITERATIONS)
-        res = power_radius(self.a, self.sizes, tol=1e-12, max_iterations=budget, start=self.res)
-        if not res.converged and (res.iterations < budget or budget == MAX_ITERATIONS):
-            raise SpectralError(
-                f"power iteration did not converge on a matrix of order {len(self.a)} "
-                f"(residual {res.residual:.3e} after {res.iterations} iterations)"
-            )
-        lo = hi = 0.0
-        for b, root, idx in self.blocks:
-            block = collatz_wielandt(b, res.vector[idx] / root)
-            if block is None:
-                lo, hi = -math.inf, math.inf
-                break
-            lo, hi = max(lo, block[0]), max(hi, block[1])
-        if res.converged and not lo <= res.rho <= hi:
-            raise SpectralError(
-                f"power value {res.rho!r} lies outside its certified bracket "
-                f"[{lo!r}, {hi!r}] on a matrix of order {len(self.a)}"
-            )
-        self.res, self.bracket = res, (lo, hi)
-
-
-def _radius(member):
-    """Converged power-iteration radius of an embedding's quotient (a
-    graph's adjacency matrix) and its certified bracket; an unconverged or
-    uncertified run never feeds a verdict."""
-    radius = _Radius(member)
-    radius.refine()
-    return radius.res, radius.bracket
+    if isinstance(member, MultipartiteEmbedding):
+        a, sizes = member.quotient()
+        # An embedding's quotient is connected: one block.
+        blocks = [((a > 0) * sizes, np.sqrt(sizes), slice(None))]
+    else:
+        a, sizes = member.adjacency(float), [1] * member.n
+        blocks = [(a[np.ix_(c, c)], 1.0, c) for c in member.components() if len(c) > 1]
+    res = power_radius(a, sizes, tol=1e-12, max_iterations=steps)
+    if not res.converged and steps == MAX_ITERATIONS:
+        raise SpectralError(
+            f"power iteration did not converge on a matrix of order {len(a)} "
+            f"(residual {res.residual:.3e} after {res.iterations} iterations)"
+        )
+    lo = hi = 0.0
+    for b, root, idx in blocks:
+        block = collatz_wielandt(b, res.vector[idx] / root)
+        if block is None:
+            lo, hi = -math.inf, math.inf
+            break
+        lo, hi = max(lo, block[0]), max(hi, block[1])
+    if res.converged and not lo <= res.rho <= hi:
+        raise SpectralError(
+            f"power value {res.rho!r} lies outside its certified bracket "
+            f"[{lo!r}, {hi!r}] on a matrix of order {len(a)}"
+        )
+    return res, (lo, hi)
 
 
 @dataclass
@@ -359,32 +335,25 @@ def _spex_detail(members):
     members = list(members)
     if not members:
         raise ValueError("family must be nonempty")
-    radii = [_Radius(m) for m in members]
-    for radius in radii:
-        radius.refine(_REFINE_STEPS)
-    converged = []
+    screens = [_radius(m, _SCREEN_STEPS) for m in members]
+    converged = {}  # member index -> (rho, bracket low end)
     bar = -math.inf
-    for radius in sorted(radii, key=lambda rd: -rd.bracket[1]):
-        # bar: the top's lower bound minus tol, and the lower bound of a
-        # converged non-winner, whichever is less.  A member whose upper
-        # bound is below it can neither win nor be the runner-up.
-        while not radius.res.converged and not radius.bracket[1] < bar:
-            radius.refine(_REFINE_STEPS if bar > -math.inf else None)
-        if radius.res.converged:
-            converged.append(radius)
-            lead = max(converged, key=lambda rd: rd.res.rho)
-            below = max(
-                (rd.bracket[0] for rd in converged if rd.res.rho < lead.res.rho - tol),
-                default=-math.inf,
-            )
-            bar = min(lead.bracket[0] - tol, below)
-    top = max(rd.res.rho for rd in converged)
-    winners = [
-        m for m, rd in zip(members, radii) if rd.res.converged and rd.res.rho >= top - tol
-    ]
-    runner_up = max(
-        (rd.res.rho for rd in converged if rd.res.rho < top - tol), default=None
-    )
+    for i in sorted(range(len(members)), key=lambda i: -screens[i][1][1]):
+        res, (lo, hi) = screens[i]
+        if not res.converged:
+            # bar: the top's lower bound minus tol, and the lower bound of
+            # a converged non-winner, whichever is less.  A member whose
+            # upper bound is below it can neither win nor be the runner-up.
+            if hi < bar:
+                continue
+            res, (lo, hi) = _radius(members[i])
+        converged[i] = (res.rho, lo)
+        lead, lead_lo = max(converged.values(), key=lambda v: v[0])
+        below = [low for rho, low in converged.values() if rho < lead - tol]
+        bar = min(lead_lo - tol, max(below, default=-math.inf))
+    top = max(rho for rho, _ in converged.values())
+    winners = [m for i, m in enumerate(members) if i in converged and converged[i][0] >= top - tol]
+    runner_up = max((rho for rho, _ in converged.values() if rho < top - tol), default=None)
     return _SpexDetail(top=top, winners=winners, runner_up=runner_up)
 
 
@@ -393,9 +362,9 @@ def spex(family):
 
     Radii come from power iteration on each embedding's twin-class quotient
     (a graph's adjacency matrix), each iterate bracketed by a certified
-    Collatz-Wielandt bound.  A short pass brackets every member; members
-    are then run on in descending order of their upper bounds, and one
-    stops early once its upper bound is below both the top's lower bound
+    Collatz-Wielandt bound.  A short screen brackets every member; then, in
+    descending order of upper bounds, each member is run to convergence
+    unless its screened upper bound is below both the top's lower bound
     minus tol and the lower bound of a converged member that does not win.
     So every member not certified below the top minus tol is converged, and
     the winners are the converged members within tol of the largest

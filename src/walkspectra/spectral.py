@@ -68,7 +68,7 @@ def rho_power(g, tol=DEFAULT_TOL):
     return power_radius(g.adjacency(float), [1] * g.n, tol, MAX_ITERATIONS)
 
 
-def power_radius(a, sizes, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS, start=None):
+def power_radius(a, sizes, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
     """Spectral radius by power iteration on a + (rho/2) I from the all-ones
     vector, rho the current Rayleigh quotient.
 
@@ -76,8 +76,13 @@ def power_radius(a, sizes, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS, start
     class sizes ``sizes``; iterate entry c is sqrt(|c|) times each class-c
     vertex entry, so the start and the residual (entry c over sqrt(|c|))
     are the graph's own.  The Rayleigh quotient of a is quadratically
-    accurate, and the run stops when the residual on a is at most ``tol``.
-    Disconnected input converges on a dominant component.
+    accurate, and the run stops when the residual on a is at most
+    max(``tol``, 2(k+2)u rho), k the order of a and u the unit roundoff.
+    That floor is the relative widening of :func:`collatz_wielandt`; a
+    residual below it is rounding error that more steps need not remove,
+    and at n = 10^9 a one-set quotient's rounding alone can exceed 1e-12.
+    The floor exceeds 1e-12 only when (k+2) rho > ~4,500.  Disconnected
+    input converges on a dominant component.
 
     The shift c = rho/2 is at most the spectral radius, and it is positive
     whenever the run goes on, so from a positive start every iterate stays
@@ -92,29 +97,20 @@ def power_radius(a, sizes, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS, start
     against rho, which a +1 shift brings down in a few steps, takes about
     25-30 (dense random graphs: 2.5 times the steps at edge density 0.95,
     1.8 times at 0.5, 1.3 times at 0.1).
-
-    The shift depends only on the iterate, so ``start``, an unconverged
-    result of an earlier call on the same matrix, resumes that run: its
-    vector is the next iterate and iterations count on from its total, so a
-    run stopped and resumed walks the same iterates, and returns the same
-    result, as one uninterrupted run.
     """
     if tol <= 0:
         raise SpectralError("tolerance must be positive")
     if len(sizes) == 0:
         return SpectralResult(0.0, np.zeros(0), 0.0, 0, "power")
     root = np.sqrt(sizes)
-    if start is None:
-        x = root / math.sqrt(sum(sizes))
-        rho, res, done = 0.0, math.inf, 0
-    else:
-        x, rho, res, done = start.vector, start.rho, start.residual, start.iterations
-    iterations = done
-    for iterations in range(done + 1, max_iterations + 1):
+    floor = 2.0 * (len(sizes) + 2) * _UNIT_ROUNDOFF
+    x = root / math.sqrt(sum(sizes))
+    rho, res, iterations = 0.0, math.inf, 0
+    for iterations in range(1, max_iterations + 1):
         ax = a @ x
         rho = float(x @ ax)
         res = float((np.abs(ax - rho * x) / root).max())
-        if res <= tol:
+        if res <= max(tol, floor * rho):
             return SpectralResult(rho, x, res, iterations, "power")
         y = ax + (0.5 * rho) * x
         x = y / math.sqrt(y @ y)

@@ -306,8 +306,9 @@ class TestSpex:
 
     @pytest.mark.parametrize("family", ["tnrk", 3, 4, 5])
     def test_lazy_refinement_matches_eager(self, family):
-        # Eager reference: every member converged, as spex did before it
-        # refined lazily; winners, top and runner-up must match bit for bit.
+        # Eager reference: every member converged.  spex converges only the
+        # members its screen leaves in contention; winners, top and
+        # runner-up must match bit for bit.
         if family == "tnrk":
             rng = random.Random(9)
             grid = [(n, r, k) for r in (2, 3) for k in (2, 3, 4, 5) for n in range(r * k, 61)]
@@ -335,6 +336,25 @@ class TestSpex:
             assert detail.top == top
             assert list(map(id, detail.winners)) == list(map(id, winners))
             assert detail.runner_up == (max(others) if others else None)
+
+    def test_non_contenders_only_screened(self, monkeypatch):
+        # Members whose screened upper bound is certified below the bar are
+        # never run to convergence.
+        real = extremal.power_radius
+        full = []
+
+        def counted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if kwargs["max_iterations"] == extremal.MAX_ITERATIONS:
+                full.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(extremal, "power_radius", counted)
+        members = enumerate_embeddings(60, 3, 4).members
+        (winner,) = spex(members)
+        (host,) = [h for h in winner.hosts if h is not None]
+        assert canonical_form(host) == canonical_form(star(5))
+        assert 0 < len(full) < len(members)
 
     def test_loose_graph_bracket_does_not_tie(self):
         # The pendant path leaves the second graph's bracket about 0.1 rho
@@ -498,6 +518,17 @@ class TestVerifyOneSet:
         (lo1, hi1), (lo2, hi2) = brackets
         assert lo1 - hi2 <= diff <= hi1 - lo2
 
+    @pytest.mark.parametrize("n", [10**9, 10**12])
+    def test_huge_n_returns(self, n):
+        # Rounding alone can leave a residual above 1e-12 here (about
+        # 1e-15 * rho), so the run stops at its rounding floor instead of
+        # running out of steps, and the bracket must still hold the radius.
+        e = MultipartiteEmbedding((1, n - 1), (None, from_graph6("I{?G?????")))
+        res, (lo, hi) = extremal._radius(e)
+        assert res.converged and res.iterations <= 60
+        rho = np.linalg.eigvalsh(e.quotient()[0])[-1]
+        assert lo <= rho <= hi and hi - lo <= 1e-13 * rho
+
 
 class TestVerifyMultiSet:
     def test_hostless(self):
@@ -538,10 +569,9 @@ class TestPowerIterationConvergence:
     def test_unconverged_radius_raises(self, monkeypatch):
         real = extremal.power_radius
 
-        def stalled(a, sizes, tol=1e-12, max_iterations=10**6, start=None):
+        def stalled(a, sizes, tol=1e-12, max_iterations=10**6):
             return dataclasses.replace(
-                real(a, sizes, tol=tol, max_iterations=max_iterations, start=start),
-                converged=False,
+                real(a, sizes, tol=tol, max_iterations=max_iterations), converged=False
             )
 
         monkeypatch.setattr(extremal, "power_radius", stalled)

@@ -93,20 +93,6 @@ class TestRhoPower:
         with pytest.raises(SpectralError):
             rho_power(complete(3), tol=0.0)
 
-    @pytest.mark.parametrize("stops", [(1,), (5, 6, 20), (4, 8, 12, 16, 27)])
-    def test_resumed_run_walks_the_same_iterates(self, stops):
-        q, sizes = MultipartiteEmbedding((29, 30), (star(5), None)).quotient()
-        whole = power_radius(q, sizes)
-        assert whole.iterations == 28
-        res = None
-        for stop in stops:
-            res = power_radius(q, sizes, max_iterations=stop, start=res)
-            assert not res.converged and res.iterations == stop
-        res = power_radius(q, sizes, start=res)
-        assert res.converged and res.iterations == whole.iterations
-        assert (res.rho, res.residual) == (whole.rho, whole.residual)
-        assert res.vector.tobytes() == whole.vector.tobytes()
-
     @pytest.mark.parametrize(
         "parts, host", [((10**4, 10**4), path(2)), ((10**4, 10**4 + 1), None)]
     )
@@ -134,15 +120,15 @@ class TestRhoPower:
         ids=["P8", "K1,8", "K3,7", "K1e4,3e4", "K1", "empty", "K4+P3", "K1,4+2K1"],
     )
     def test_iterates_stay_positive_and_end_in_the_bracket(self, member, rho):
-        radius = extremal._Radius(member)
-        for _ in range(200):
-            radius.refine(1)
-            assert (radius.res.vector > 0).all()
-            if radius.res.converged:
+        # A run stopped after s steps ends on the s-th iterate, so the runs
+        # for s = 1, 2, ... see every iterate of the full run.
+        for steps in range(1, 201):
+            res, (lo, hi) = extremal._radius(member, steps)
+            assert (res.vector > 0).all()
+            if res.converged:
                 break
-        assert radius.res.converged
-        lo, hi = radius.bracket
-        assert lo <= radius.res.rho <= hi
+        assert res.converged
+        assert lo <= res.rho <= hi
         assert lo <= rho <= hi
 
 
