@@ -12,6 +12,10 @@ Groups (all of them when none is named):
     onset      the 19 one-set pairs of bench/expected/onset_table.json, each
                over n = 3 + t_size..200 with a 3-vertex clique side
     multi-set  150 multi-set reports, ``sample_embedding`` seeds 0..149
+    series     certified series outputs on ``sample_embedding`` seeds 0..299:
+               ``f_resolvent`` endpoints at delta + {1e-6, 0.01, 0.5, 3} and
+               the ``solve_rho_series`` rho, bracket, iterations and
+               convergence flag (floats as hex)
     spex       the spectral argmax (top, runner-up, winners) of the m-edge
                families, m = 1..7
     cli        the README's command lines, plus ``rho --method power``, each
@@ -34,13 +38,15 @@ import shlex
 import sys
 import tempfile
 
-from walkspectra import cli, extremal
+from walkspectra import cli, extremal, series
 from walkspectra.graphio import from_graph6, to_graph6
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ONSET_S_SIZE = 3
 ONSET_N_MAX = 200
 MULTI_SET_SEEDS = 150
+SERIES_SEEDS = 300
+SERIES_GAPS = (1e-6, 0.01, 0.5, 3.0)
 
 # The edge-list files the README's command lines name.
 README_FILES = {
@@ -74,6 +80,19 @@ def multi_set():
     for seed in range(MULTI_SET_SEEDS):
         emb = extremal.sample_embedding(random.Random(seed))
         yield _report(extremal.verify_multi_set(emb))
+
+
+def series_outputs():
+    for seed in range(SERIES_SEEDS):
+        emb = extremal.sample_embedding(random.Random(seed))
+        probes = []
+        for gap in SERIES_GAPS:
+            ev = series.f_resolvent(emb, emb.delta + gap)
+            probes.append(f"{ev.value_lo.hex()} {ev.value_hi.hex()}")
+        res = series.solve_rho_series(emb)
+        bracket = " ".join(b.hex() for b in res.bracket)
+        yield (f"{seed} {'; '.join(probes)} | {res.rho.hex()} [{bracket}] "
+               f"{res.iterations} {res.converged}")
 
 
 def spex():
@@ -113,7 +132,8 @@ def commands():
             os.chdir(cwd)
 
 
-GROUPS = {"tnrk": tnrk, "onset": onset, "multi-set": multi_set, "spex": spex, "cli": commands}
+GROUPS = {"tnrk": tnrk, "onset": onset, "multi-set": multi_set, "series": series_outputs,
+          "spex": spex, "cli": commands}
 
 
 def main(argv=None):

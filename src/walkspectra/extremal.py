@@ -280,28 +280,36 @@ def sample_embedding(
 # ---- spectral argmax -------------------------------------------------------
 
 
-def _radius(member, steps=MAX_ITERATIONS):
-    """Power-iteration radius of an embedding's twin-class quotient (a
-    graph's adjacency matrix) after at most ``steps`` steps, and the
-    certified Collatz-Wielandt bracket of its last iterate (``(-inf, inf)``
-    when that iterate gives no certificate).
-
-    The bracket is taken on the integer quotient B, B[i][j] the number of
-    class-j neighbours of a class-i vertex, at z = x/sqrt(sizes); B is
-    similar to the symmetric quotient the iteration runs on.  A graph's
-    radius is its largest component radius, so each component with an edge
-    is bracketed on its own and the bracket is their maximum.
-
-    Raises when a full run does not converge, and when a converged value
-    lies outside its bracket, so neither feeds a verdict.
+def _blocks(member):
+    """``(a, sizes, blocks)``: the matrix the power iteration runs on (an
+    embedding's twin-class quotient, a graph's adjacency matrix), its class
+    sizes, and a ``(B, root, index)`` per block.  B is the integer quotient,
+    B[i][j] the number of class-j neighbours of a class-i vertex, similar to
+    the symmetric one and bracketed at z = x[index]/root.  A graph's radius
+    is its largest component radius: each component with an edge is a block.
     """
     if isinstance(member, MultipartiteEmbedding):
         a, sizes = member.quotient()
         # An embedding's quotient is connected: one block.
-        blocks = [((a > 0) * sizes, np.sqrt(sizes), slice(None))]
-    else:
-        a, sizes = member.adjacency(float), [1] * member.n
-        blocks = [(a[np.ix_(c, c)], 1.0, c) for c in member.components() if len(c) > 1]
+        return a, sizes, [((a > 0) * sizes, np.sqrt(sizes), slice(None))]
+    a = member.adjacency(float)
+    blocks = [(a[np.ix_(c, c)], 1.0, c) for c in member.components() if len(c) > 1]
+    return a, [1] * member.n, blocks
+
+
+def _radius(member, steps=MAX_ITERATIONS):
+    """Power-iteration radius of a graph or embedding after at most
+    ``steps`` steps, and the certified Collatz-Wielandt bracket of its last
+    iterate (``(-inf, inf)`` when that iterate gives no certificate)."""
+    return _blocks_radius(_blocks(member), steps)
+
+
+def _blocks_radius(member_blocks, steps=MAX_ITERATIONS):
+    """:func:`_radius` from a member's :func:`_blocks`; the bracket is the
+    maximum of the blocks' brackets.  Raises when a full run does not
+    converge, and when a converged value lies outside its bracket, so
+    neither feeds a verdict."""
+    a, sizes, blocks = member_blocks
     res = power_radius(a, sizes, tol=1e-12, max_iterations=steps)
     if not res.converged and steps == MAX_ITERATIONS:
         raise SpectralError(
@@ -335,7 +343,8 @@ def _spex_detail(members):
     members = list(members)
     if not members:
         raise ValueError("family must be nonempty")
-    screens = [_radius(m, _SCREEN_STEPS) for m in members]
+    blocks = [_blocks(m) for m in members]
+    screens = [_blocks_radius(b, _SCREEN_STEPS) for b in blocks]
     converged = {}  # member index -> (rho, bracket low end)
     bar = -math.inf
     for i in sorted(range(len(members)), key=lambda i: -screens[i][1][1]):
@@ -346,7 +355,7 @@ def _spex_detail(members):
             # upper bound is below it can neither win nor be the runner-up.
             if hi < bar:
                 continue
-            res, (lo, hi) = _radius(members[i])
+            res, (lo, hi) = _blocks_radius(blocks[i])
         converged[i] = (res.rho, lo)
         lead, lead_lo = max(converged.values(), key=lambda v: v[0])
         below = [low for rho, low in converged.values() if rho < lead - tol]

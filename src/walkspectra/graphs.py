@@ -535,8 +535,15 @@ class MultipartiteEmbedding:
             cut.append(k + (size > k))
             sizes += [1] * k + [size - k] * (size > k)
         sizes = np.array(sizes, dtype=float)
-        q = MultipartiteEmbedding(cut, self.hosts).realize().adjacency(float)
-        return q * np.sqrt(np.outer(sizes, sizes)), sizes
+        # sqrt of the products, not a product of roots: the bits differ.
+        q = np.sqrt(np.outer(sizes, sizes))
+        start = 0
+        for c, host in zip(cut, self.hosts):
+            q[start : start + c, start : start + c] = 0.0
+            if host is not None:
+                q[start : start + host.n, start : start + host.n] = host.adj
+            start += c
+        return q, sizes
 
     def key(self):
         """Equivalence key: parts of equal size are interchangeable and host

@@ -93,6 +93,15 @@ class Ival:
         return Ival._coerce(other).__sub__(self)
 
     def __mul__(self, other):
+        if type(other) is float:
+            # The interval path's bits from two products; a nan product
+            # (0 * inf, or a nan operand) fails both tests and goes there.
+            a = self.lo * other
+            b = self.hi * other
+            if a <= b:
+                return _ival(_next(a, _NEG_INF), _next(b, _INF))
+            if b < a:
+                return _ival(_next(b, _NEG_INF), _next(a, _INF))
         o = Ival._coerce(other)
         products = (
             self.lo * o.lo,
@@ -109,6 +118,12 @@ class Ival:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if type(other) is float and other > 0.0:
+            # A positive divisor keeps the order; inf / inf goes below.
+            lo = self.lo / other
+            hi = self.hi / other
+            if lo <= hi:
+                return _ival(_next(lo, _NEG_INF), _next(hi, _INF))
         o = Ival._coerce(other)
         if o.lo <= 0.0:
             raise ZeroDivisionError("interval division requires a positive divisor")

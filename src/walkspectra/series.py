@@ -210,9 +210,31 @@ def f_eval(embedding, x, depth):
     )
 
 
-def _resolvent_denominator(size, host, x):
+_ONE = Ival(1.0)
+_ZERO = Ival(0.0)
+
+
+def _probe_plan(embedding):
+    """The embedding's max host degree and a :func:`_part_plan` per part:
+    what every probe reads, built once per solve."""
+    return embedding.delta, tuple(map(_part_plan, embedding.part_sizes, embedding.hosts))
+
+
+def _part_plan(size, host):
+    """``(Ival(n_s - n_H), host)``, with the host given as -A_H in floats,
+    the solve's right-hand side, its neighbour lists, float(D_H) and
+    float(n_H); an edgeless host counts as none."""
+    if host is None or host.num_edges == 0:
+        return Ival(float(size)), None
+    k = host.n
+    return Ival(float(size - k)), (
+        0.0 - host.adj, np.ones(k), host.neighbor_lists, float(host.max_degree()), float(k)
+    )
+
+
+def _resolvent_denominator(part, x, x_iv):
     """Certified enclosure of 1 + n_s/x + sum_{i>=1} W_i(H)/x^{i+1}, the
-    series summed to infinity.
+    series summed to infinity, for a :func:`_part_plan` at x = ``x_iv``.
 
     sum_{i>=0} W_i / x^{i+1} = 1^T y with (xI - A_H) y = 1, so the
     denominator is 1 + (n_s - n_H)/x + sum(y).  y is solved in floats; for
@@ -220,48 +242,50 @@ def _resolvent_denominator(size, host, x):
     least x - D, so |y - y_hat|_inf <= |1 - (xI - A_H) y_hat|_inf / (x - D)
     (Varah's bound), with the residual evaluated in interval arithmetic.
     """
-    x_iv = Ival(x)
-    if host is None or host.num_edges == 0:
-        return Ival(1.0) + Ival(float(size)) / x_iv
-    k = host.n
-    m = 0.0 - host.adj  # -A_H as floats; x on the diagonal makes it xI - A_H
-    np.fill_diagonal(m, x)
-    y = np.linalg.solve(m, np.ones(k)).tolist()
-    one = Ival(1.0)
+    rest, host = part
+    if host is None:
+        return _ONE + rest / x_iv
+    neg_adj, ones, neighbor_lists, delta, k = host
+    m = neg_adj.copy()
+    np.fill_diagonal(m, x)  # xI - A_H
+    y = np.linalg.solve(m, ones).tolist()
     res_norm = 0.0
-    total = Ival(0.0)
-    for u, nbrs in enumerate(host.neighbor_lists):
+    total = _ZERO
+    for u, nbrs in enumerate(neighbor_lists):
         yu = y[u]
-        res = one - x_iv * yu
+        res = _ONE - x_iv * yu
         for v in nbrs:
             res = res + y[v]
         res_norm = max(res_norm, -res.lo, res.hi)
         total = total + yu
-    err = (Ival(res_norm) / (x_iv - float(host.max_degree()))).hi
-    total = total + Ival(-err, err) * float(k)
-    return Ival(1.0) + Ival(float(size - k)) / x_iv + total
+    err = (Ival(res_norm) / (x_iv - delta)).hi
+    total = total + Ival(-err, err) * k
+    return _ONE + rest / x_iv + total
 
 
 def f_resolvent(embedding, x):
     """Certified enclosure of the part-sum f(x) with every inner series
     summed to infinity in closed form: no truncation, so depth and tail
     bound are both reported as 0."""
-    return _resolvent_probe(embedding, float(x), embedding.delta)
+    x = float(x)
+    total = _resolvent_probe(_probe_plan(embedding), x)
+    return SeriesEvaluation(
+        x=x, depth=0, value_lo=total.lo, value_hi=total.hi, tail_bound=0.0
+    )
 
 
-def _resolvent_probe(embedding, x, delta):
-    """:func:`f_resolvent` at a float x, given the embedding's max host
-    degree ``delta``, which a solver reads once for all its probes."""
+def _resolvent_probe(plan, x):
+    """:func:`f_resolvent` at a float x for a :func:`_probe_plan`, as an Ival."""
+    delta, parts = plan
     if not x > delta:
         raise HypothesisNotMet(
             f"series evaluation needs x > max host degree ({x} <= {delta})"
         )
-    total = Ival(0.0)
-    for size, host in zip(embedding.part_sizes, embedding.hosts):
-        total = total + Ival(1.0) / _resolvent_denominator(size, host, x)
-    return SeriesEvaluation(
-        x=x, depth=0, value_lo=total.lo, value_hi=total.hi, tail_bound=0.0
-    )
+    x_iv = Ival(x)
+    total = _ZERO
+    for part in parts:
+        total = total + _ONE / _resolvent_denominator(part, x, x_iv)
+    return total
 
 
 def solve_rho_series(embedding, tol=DEFAULT_SOLVE_TOL):
@@ -278,7 +302,8 @@ def solve_rho_series(embedding, tol=DEFAULT_SOLVE_TOL):
     if tol <= 0:
         raise SeriesError("tolerance must be positive")
     target = float(embedding.r - 1)
-    delta = embedding.delta
+    plan = _probe_plan(embedding)
+    delta = plan[0]
     a = float(delta)
     b = float(max(
         embedding.n - size + (0 if host is None else host.max_degree())
@@ -291,16 +316,16 @@ def solve_rho_series(embedding, tol=DEFAULT_SOLVE_TOL):
         if not a < x < b:
             break
         steps += 1
-        ev = _resolvent_probe(embedding, x, delta)
-        if ev.value_hi < target:
+        ev = _resolvent_probe(plan, x)
+        if ev.hi < target:
             a, a_certified = x, True
-        elif ev.value_lo > target:
+        elif ev.lo > target:
             b = x
         else:
             q = 0.25 * tol
-            if _resolvent_probe(embedding, x - q, delta).value_hi < target:
+            if _resolvent_probe(plan, x - q).hi < target:
                 a, a_certified = x - q, True
-            if _resolvent_probe(embedding, x + q, delta).value_lo > target:
+            if _resolvent_probe(plan, x + q).lo > target:
                 b = x + q
             break
     if not a_certified:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walkspectra import (
@@ -290,6 +290,26 @@ class TestEmbedding:
         assert sizes.tolist() == [1, 1, 2, 9]
         assert q[3, 2] == q[2, 3] == pytest.approx(18**0.5)
         assert q[0, 1] == 1 and q[0, 2] == q[1, 2] == 0
+
+    @given(embeddings())
+    @example(MultipartiteEmbedding((3, 5)))  # hostless parts
+    @example(MultipartiteEmbedding((3, 2, 6), (complete(3), path(2), None)))  # full parts
+    @example(MultipartiteEmbedding((1, 1, 12), (None, None, star(4).add_isolated(3))))  # one-set
+    @settings(max_examples=80)
+    def test_quotient_bits_match_realized_reference(self, e):
+        # Reference: realize the graph with each part cut to its classes
+        # and scale its adjacency by sqrt(outer(sizes, sizes)).
+        cut, sizes = [], []
+        for size, host in zip(e.part_sizes, e.hosts):
+            k = 0 if host is None else host.n
+            cut.append(k + (size > k))
+            sizes += [1] * k + [size - k] * (size > k)
+        sizes = np.array(sizes, dtype=float)
+        realized = MultipartiteEmbedding(cut, e.hosts).realize().adjacency(float)
+        want = realized * np.sqrt(np.outer(sizes, sizes))
+        q, got = e.quotient()
+        assert q.dtype == want.dtype and q.tobytes() == want.tobytes()
+        assert got.tobytes() == sizes.tobytes()
 
     def test_equal_size_parts_interchangeable(self):
         a = MultipartiteEmbedding((3, 3), (path(3), None))

@@ -29,7 +29,8 @@ from walkspectra import (
     tail_bound,
 )
 from walkspectra.extremal import sample_embedding, verify_multi_set
-from walkspectra.series import _resolvent_denominator
+from walkspectra.intervals import Ival
+from walkspectra.series import _part_plan, _resolvent_denominator
 
 
 class TestEntrySeries:
@@ -203,7 +204,7 @@ class TestFResolvent:
                     continue
                 for gap in (1e-6, 0.01, 0.5):
                     x = host.max_degree() + gap
-                    iv = _resolvent_denominator(size, host, x)
+                    iv = _resolvent_denominator(_part_plan(size, host), x, Ival(x))
                     exact = exact_denominator(size, host, x)
                     assert Fraction(iv.lo) <= exact <= Fraction(iv.hi)
 
