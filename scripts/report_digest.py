@@ -18,8 +18,9 @@ Groups (all of them when none is named):
                convergence flag (floats as hex)
     spex       the spectral argmax (top, runner-up, winners) of the m-edge
                families, m = 1..7
-    cli        the README's command lines, plus ``rho --method power``, each
-               in json, table and csv (exit code, stdout and stderr)
+    cli        the README's command lines, plus ``rho --method power`` and
+               ``verify --theorem multi-set`` on one embedding, each in
+               json, table and csv (exit code, stdout and stderr)
 
 Reports are rendered by the CLI's own JSON writer (17 significant digits).
 The script reads ``bench/expected`` and the README and writes only to a
@@ -110,7 +111,10 @@ def _readme_commands():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         lines = fh.read().split("## Command line", 1)[1].split("```")[1].splitlines()
     cmds = [shlex.split(line)[1:] for line in lines if line.startswith("walkspectra ")]
-    return cmds + [["rho", "--family", "turan:7,3", "--method", "power"]]
+    return cmds + [
+        ["rho", "--family", "turan:7,3", "--method", "power"],
+        ["verify", "--theorem", "multi-set", "--parts", "5,5", "--host", "1=star:4"],
+    ]
 
 
 def commands():

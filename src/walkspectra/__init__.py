@@ -31,10 +31,8 @@ from .graphio import (
     format_edge_list,
     from_graph6,
     parse_edge_list,
-    read_edge_list,
     read_graph6,
     to_graph6,
-    write_edge_list,
     write_graph6,
 )
 from .graphs import (

@@ -55,7 +55,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INAPPLICABLE = 3
 
-DEFAULT_TOLERANCE = 1e-10
 CACHE_ENV = "WALKSPECTRA_CACHE"
 
 
@@ -291,11 +290,11 @@ def _spectral_report(result):
 
 def _cmd_rho(args):
     if args.method == "series":
-        result = solve_rho_series(build_embedding(args.parts, args.host), tol=args.tol)
+        result = solve_rho_series(build_embedding(args.parts, args.host))
     elif args.method == "dense":
         result = rho_dense(_graph_from_args(args))
     else:
-        result = rho_power(_graph_from_args(args), tol=min(args.tol, 1e-12))
+        result = rho_power(_graph_from_args(args))
     return EXIT_OK, _spectral_report(result)
 
 
@@ -305,7 +304,7 @@ def _cmd_perron(args):
         subset = [int(x) for x in args.subset.split(",") if x != ""]
     except ValueError:
         raise FormatError(f"non-integer subset {args.subset!r}") from None
-    result = perron_normalized(g, subset, tol=min(args.tol, 1e-12))
+    result = perron_normalized(g, subset)
     report = _spectral_report(result)
     report["subset"] = subset
     report["vector"] = _vector_list(result.vector)
@@ -314,7 +313,7 @@ def _cmd_perron(args):
 
 def _cmd_solve_series(args):
     emb = build_embedding(args.parts, args.host)
-    result = solve_rho_series(emb, tol=args.tol)
+    result = solve_rho_series(emb)
     return EXIT_OK, {
         "rho": result.rho,
         "depth_used": result.depth,
@@ -406,7 +405,7 @@ def _verify_one_set(args):
 
 def _verify_multi_set(args):
     emb = build_embedding(args.parts, args.host)
-    return _single(verify_multi_set(emb, tol=max(args.tol, 1e-8)))
+    return _single(verify_multi_set(emb))
 
 
 def _verify_multi_set_sample(args):
@@ -416,7 +415,7 @@ def _verify_multi_set_sample(args):
     reports = []
     for _ in range(args.sample):
         emb = sample_embedding(rng, cache_dir=args.cache_dir)
-        reports.append(verify_multi_set(emb, tol=max(args.tol, 1e-8)).as_dict())
+        reports.append(verify_multi_set(emb).as_dict())
     body = {
         "theorem": "multi-set",
         "seed": args.seed,
@@ -468,11 +467,11 @@ _GRAPH = ("graph", "graph6", "family")
 _MODES = {
     "walks": (_cmd_walks, (), (*_GRAPH, "depth", "per_vertex")),
     "compare": (_cmd_compare, ("g1", "g2"), ()),
-    "rho --method power": (_cmd_rho, (), (*_GRAPH, "tol")),
+    "rho --method power": (_cmd_rho, (), _GRAPH),
     "rho --method dense": (_cmd_rho, (), _GRAPH),
-    "rho --method series": (_cmd_rho, ("parts",), ("host", "tol")),
-    "perron": (_cmd_perron, ("subset",), (*_GRAPH, "tol")),
-    "solve-series": (_cmd_solve_series, ("parts",), ("host", "tol")),
+    "rho --method series": (_cmd_rho, ("parts",), ("host",)),
+    "perron": (_cmd_perron, ("subset",), _GRAPH),
+    "solve-series": (_cmd_solve_series, ("parts",), ("host",)),
     "enumerate": (_cmd_enumerate, (), ("m_edges", "embeddings")),
     "exfilter": (_cmd_exfilter, (), ("m_edges", "family_file", "level", "infinity")),
     "verify --theorem lemma-2degree": (_verify_lemma_2degree, ("n", "m"), ()),
@@ -480,12 +479,8 @@ _MODES = {
     "verify --theorem one-set": (
         _verify_one_set, ("s_size", "t_size", "h1", "h2", "n_min", "n_max"), ()
     ),
-    "verify --theorem multi-set with --sample": (
-        _verify_multi_set_sample, ("sample",), ("seed", "tol")
-    ),
-    "verify --theorem multi-set without --sample": (
-        _verify_multi_set, ("parts",), ("host", "tol")
-    ),
+    "verify --theorem multi-set with --sample": (_verify_multi_set_sample, ("sample",), ("seed",)),
+    "verify --theorem multi-set without --sample": (_verify_multi_set, ("parts",), ("host",)),
     "verify --theorem cor-tnrk with --n": (_verify_tnrk, ("n", "r", "k"), ()),
     "verify --theorem cor-tnrk without --n": (
         _verify_tnrk_scan, ("r", "k", "n_max"), ("n_min",)
@@ -493,10 +488,7 @@ _MODES = {
 }
 
 # Defaults of the optional flags; any other flag a mode reads defaults to None.
-_DEFAULTS = {
-    "depth": 10, "per_vertex": False, "infinity": False, "seed": 0,
-    "tol": DEFAULT_TOLERANCE,
-}
+_DEFAULTS = {"depth": 10, "per_vertex": False, "infinity": False, "seed": 0}
 
 # Set in every namespace: the subcommand, the mode selectors, the shared flags.
 _ALWAYS = {"subcommand", "method", "theorem", "format", "cache_dir"}
@@ -533,8 +525,6 @@ def _handler(args):
         raise FormatError(f"{mode} needs {_flags(missing)}")
     for dest in optional:
         vars(args).setdefault(dest, _DEFAULTS.get(dest))
-    if "tol" in args and not args.tol > 0:
-        raise FormatError("tolerance must be positive")
     args.cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     return handler
 
@@ -560,8 +550,6 @@ def build_parser():
         "--format", choices=("json", "table", "csv"), default="json",
         help="report format (default json)",
     )
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="numerical tolerance (default 1e-10)")
     common.add_argument("--cache-dir",
                         help=f"enumeration cache directory (or ${CACHE_ENV})")
 

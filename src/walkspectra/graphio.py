@@ -1,7 +1,8 @@
 """Graph serialization: edge-list text files and the graph6 format.
 
 Edge-list format: first line ``n m``, then m lines ``u v`` with 0-based
-vertex indices.  Blank lines and ``#`` comments are tolerated.
+vertex indices, each edge on one line only.  Blank lines and ``#`` comments
+are tolerated.
 
 graph6: standard bit-packed encoding, 6 bits per byte at offset 63, upper
 triangle in column-major order.
@@ -15,8 +16,6 @@ from .graphs import Graph
 __all__ = [
     "parse_edge_list",
     "format_edge_list",
-    "read_edge_list",
-    "write_edge_list",
     "to_graph6",
     "from_graph6",
     "read_graph6",
@@ -52,7 +51,7 @@ def parse_edge_list(text):
             line=lineno,
         )
 
-    edges = []
+    first_line = {}
     for lineno, line in rows[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -65,24 +64,19 @@ def parse_edge_list(text):
             raise FormatError(f"endpoint out of range 0..{n - 1}: {line!r}", line=lineno)
         if u == v:
             raise FormatError(f"self-loop at vertex {u}", line=lineno)
-        edges.append((u, v))
-    return Graph.from_edge_list(n, edges)
+        edge = (min(u, v), max(u, v))
+        if edge in first_line:
+            raise FormatError(
+                f"repeated edge {line!r}, first given on line {first_line[edge]}", line=lineno
+            )
+        first_line[edge] = lineno
+    return Graph.from_edge_list(n, list(first_line))
 
 
 def format_edge_list(g):
     lines = [f"{g.n} {g.num_edges}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
-
-
-def read_edge_list(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
-
-
-def write_edge_list(g, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g))
 
 
 # ---- graph6 ---------------------------------------------------------------

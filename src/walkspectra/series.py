@@ -45,7 +45,7 @@ __all__ = [
     "solve_rho_series",
 ]
 
-DEFAULT_SOLVE_TOL = 1e-10
+SOLVE_TOL = 1e-10  # the width of the bracket solve_rho_series returns
 
 
 @dataclass(frozen=True)
@@ -288,19 +288,18 @@ def _resolvent_probe(plan, x):
     return total
 
 
-def solve_rho_series(embedding, tol=DEFAULT_SOLVE_TOL):
+def solve_rho_series(embedding):
     """Spectral radius of the realized embedding via the series equation.
 
     Bisects the strictly increasing map x -> f(x) against r - 1 on the
     bracket (D, D(G)], where D is the max host degree and D(G), the max
-    degree of the realized graph, bounds rho from above.  Each probe is the
-    certified closed-form enclosure of :func:`f_resolvent`, and moves an
-    endpoint only when it separates from r - 1.  A probe whose enclosure
-    contains r - 1 lies within resolution of rho: the points tol/4 either
-    side of it are probed once and the bracket they certify is returned.
+    degree of the realized graph, bounds rho from above, until the bracket
+    is at most ``SOLVE_TOL`` = 1e-10 wide.  Each probe is the certified
+    closed-form enclosure of :func:`f_resolvent`, and moves an endpoint
+    only when it separates from r - 1.  A probe whose enclosure contains
+    r - 1 lies within resolution of rho: the points SOLVE_TOL/4 either side
+    of it are probed once and the bracket they certify is returned.
     """
-    if tol <= 0:
-        raise SeriesError("tolerance must be positive")
     target = float(embedding.r - 1)
     plan = _probe_plan(embedding)
     delta = plan[0]
@@ -311,7 +310,7 @@ def solve_rho_series(embedding, tol=DEFAULT_SOLVE_TOL):
     ))
     a_certified = False
     steps = 0
-    while b - a > tol:
+    while b - a > SOLVE_TOL:
         x = 0.5 * (a + b)
         if not a < x < b:
             break
@@ -322,7 +321,7 @@ def solve_rho_series(embedding, tol=DEFAULT_SOLVE_TOL):
         elif ev.lo > target:
             b = x
         else:
-            q = 0.25 * tol
+            q = 0.25 * SOLVE_TOL
             if _resolvent_probe(plan, x - q).hi < target:
                 a, a_certified = x - q, True
             if _resolvent_probe(plan, x + q).lo > target:
@@ -339,7 +338,7 @@ def solve_rho_series(embedding, tol=DEFAULT_SOLVE_TOL):
         residual=b - a,
         iterations=steps,
         method="series",
-        converged=b - a <= tol,
+        converged=b - a <= SOLVE_TOL,
         bracket=(a, b),
         depth=0,
     )

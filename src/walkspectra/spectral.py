@@ -36,7 +36,7 @@ __all__ = [
 
 DENSE_LIMIT = 64
 
-DEFAULT_TOL = 1e-12
+POWER_TOL = 1e-12  # the residual at which a power iteration stops
 MAX_ITERATIONS = 1_000_000
 JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 60
@@ -63,12 +63,12 @@ class SpectralResult:
     depth: int | None = None
 
 
-def rho_power(g, tol=DEFAULT_TOL):
+def rho_power(g):
     """Spectral radius of g by :func:`power_radius`, one vertex per class."""
-    return power_radius(g.adjacency(float), [1] * g.n, tol, MAX_ITERATIONS)
+    return power_radius(g.adjacency(float), [1] * g.n, MAX_ITERATIONS)
 
 
-def power_radius(a, sizes, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
+def power_radius(a, sizes, max_iterations=MAX_ITERATIONS):
     """Spectral radius by power iteration on a + (rho/2) I from the all-ones
     vector, rho the current Rayleigh quotient.
 
@@ -77,7 +77,7 @@ def power_radius(a, sizes, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
     vertex entry, so the start and the residual (entry c over sqrt(|c|))
     are the graph's own.  The Rayleigh quotient of a is quadratically
     accurate, and the run stops when the residual on a is at most
-    max(``tol``, 2(k+2)u rho), k the order of a and u the unit roundoff.
+    max(``POWER_TOL``, 2(k+2)u rho), k the order of a and u the unit roundoff.
     That floor is the relative widening of :func:`collatz_wielandt`; a
     residual below it is rounding error that more steps need not remove,
     and at n = 10^9 a one-set quotient's rounding alone can exceed 1e-12.
@@ -98,8 +98,6 @@ def power_radius(a, sizes, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
     25-30 (dense random graphs: 2.5 times the steps at edge density 0.95,
     1.8 times at 0.5, 1.3 times at 0.1).
     """
-    if tol <= 0:
-        raise SpectralError("tolerance must be positive")
     if len(sizes) == 0:
         return SpectralResult(0.0, np.zeros(0), 0.0, 0, "power")
     root = np.sqrt(sizes)
@@ -110,7 +108,7 @@ def power_radius(a, sizes, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
         ax = a @ x
         rho = float(x @ ax)
         res = float((np.abs(ax - rho * x) / root).max())
-        if res <= max(tol, floor * rho):
+        if res <= max(POWER_TOL, floor * rho):
             return SpectralResult(rho, x, res, iterations, "power")
         y = ax + (0.5 * rho) * x
         x = y / math.sqrt(y @ y)
@@ -245,7 +243,7 @@ def rho_dense(g):
     return SpectralResult(rho, vec, res, sweeps, "dense", converged=converged)
 
 
-def perron_normalized(g, subset, tol=DEFAULT_TOL):
+def perron_normalized(g, subset):
     """Perron vector of a connected graph rescaled so the entries of
     ``subset`` sum to the spectral radius."""
     subset = sorted(set(indices(subset, SpectralError, "normalization subset entries")))
@@ -258,7 +256,7 @@ def perron_normalized(g, subset, tol=DEFAULT_TOL):
             "subset normalization needs a connected graph; the subset could "
             "miss the dominant component"
         )
-    base = rho_power(g, tol=tol)
+    base = rho_power(g)
     if base.rho <= 0:
         raise SpectralError("normalization requires a positive spectral radius")
     total = float(base.vector[subset].sum())

@@ -136,7 +136,7 @@ def test_criterion_5_oracle_agreement(random_corpus, family_corpus):
     for g in random_corpus + family_corpus:
         if g.n > 64:
             continue
-        gap = abs(rho_power(g, tol=1e-12).rho - rho_dense(g).rho)
+        gap = abs(rho_power(g).rho - rho_dense(g).rho)
         worst = max(worst, gap)
         count += 1
     elapsed = time.perf_counter() - t0
@@ -155,7 +155,7 @@ def test_criterion_6_series_identity():
     worst_solver = 0.0
     while done < 100:
         emb = sample_embedding(rng, r_range=(2, 4), part_range=(2, 30), t_range=(1, 5))
-        measured = rho_power(emb.realize(), tol=1e-12).rho
+        measured = rho_power(emb.realize()).rho
         if measured <= emb.delta + 0.25:
             continue
         ev = f_eval(emb, measured, 48)
@@ -186,13 +186,13 @@ def test_criterion_7_entry_brackets():
     while done < 50:
         emb = sample_embedding(rng, r_range=(2, 4), part_range=(12, 30), t_range=(1, 5))
         g = emb.realize()
-        rho = rho_power(g, tol=1e-12).rho
+        rho = rho_power(g).rho
         if rho <= emb.delta + 1.0:
             continue
         for i, (size, host) in enumerate(zip(emb.part_sizes, emb.hosts)):
             part = list(emb.part_range(i))
             outside = [v for v in range(g.n) if v not in set(part)]
-            res = perron_normalized(g, outside, tol=1e-12)
+            res = perron_normalized(g, outside)
             padded = (host or empty(0)).add_isolated(size - (host.n if host else 0))
             for local, v in enumerate(part):
                 es = entry_series(padded, local, rho, 64)

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import shlex
 from pathlib import Path
 
@@ -36,9 +38,13 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
-def readme_commands():
+def readme_cli_section():
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_commands():
+    block = readme_cli_section().split("```sh", 1)[1].split("```", 1)[0]
     return [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
 
 
@@ -322,7 +328,7 @@ class TestParser:
     # then a valid command.
     SEQUENCE = [
         "rho --family star:3 --depth 5",
-        "walks --family star:3 --tol 1e-3",
+        "rho --family star:3 --parts 2,2",
         "verify --theorem lemma-2degree",
         "walks --graph6 Bw --depth 3",
     ]
@@ -348,6 +354,14 @@ class TestInputsAndErrors:
         code = main(["walks", "--graph", str(bad), "--depth", "2"])
         assert code == EXIT_USAGE
         assert "line 3" in capsys.readouterr().err
+
+    def test_repeated_edge_rejected(self, capsys, tmp_path):
+        # The header declares two edges, but the file holds one twice.
+        twice = tmp_path / "twice.el"
+        twice.write_text("3 2\n0 1\n1 0\n")
+        code = main(["walks", "--graph", str(twice), "--depth", "2"])
+        assert code == EXIT_USAGE
+        assert "line 3: repeated edge" in capsys.readouterr().err
 
     def test_several_graph6_lines_rejected(self, capsys, tmp_path):
         two = tmp_path / "two.g6"
@@ -377,6 +391,9 @@ class TestInputsAndErrors:
             ["rho", "--family", "star:3", "--depth", "5"],
             ["walks", "--family", "star:3", "--seed", "1"],
             ["solve-series", "--parts", "2,2", "--seed", "1"],
+            ["rho", "--family", "star:5", "--method", "dense", "--tol", "1e-3"],
+            ["compare", "--g1", "star:3", "--g2", "complete:3", "--tol", "1"],
+            ["walks", "--family", "star:3", "--tol", "1e-3"],
         ],
     )
     def test_options_only_where_read(self, capsys, argv):
@@ -385,18 +402,33 @@ class TestInputsAndErrors:
         assert exc.value.code == EXIT_USAGE
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            "rho --family star:9 --method power --tol 1e-3",
+            "rho --method series --parts 5,5 --host 1=star:4 --tol 1e-3",
+            "perron --family star:5 --subset 0 --tol 1e-3",
+            "solve-series --parts 10,10 --host 1=star:4 --tol 1e-3",
+            "verify --theorem multi-set --parts 5,5 --host 1=star:4 --tol 1e-14",
+            "verify --theorem multi-set --sample 2 --seed 1 --tol 1e-14",
+        ],
+    )
+    def test_no_tolerance_flag(self, capsys, argv):
+        # Each precision is fixed, so no mode takes --tol.
+        code, out, err = run_captured(capsys, argv.split())
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--tol" in err
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             ("verify --theorem cor-tnrk --r 2 --k 3 --n 10 --n-min 5", "--n-min"),
             ("verify --theorem cor-tnrk --r 2 --k 3 --n 10 --n-max 12", "--n-max"),
             ("rho --family star:5 --parts 2,2", "--parts"),
             ("rho --method series --parts 2,2 --family star:5", "--family"),
-            ("rho --family star:5 --method dense --tol 1e-3", "--tol"),
             ("verify --theorem multi-set --sample 2 --parts 2,2", "--parts"),
             ("verify --theorem multi-set --parts 3,3 --seed 4", "--seed"),
             ("verify --theorem lemma-2degree --n 9 --m 3 --r 2", "--r"),
-            ("compare --g1 star:3 --g2 complete:3 --tol 1", "--tol"),
-            ("walks --family star:3 --tol 1e-3", "--tol"),
         ],
     )
     def test_unread_flag_rejected(self, capsys, argv, flag):
@@ -447,6 +479,18 @@ class TestReadme:
         captured = capsys.readouterr()
         assert captured.err == ""
         json.loads(captured.out)
+
+    def test_named_flags_are_defined(self):
+        # The prose and the examples may name only flags the parser defines.
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme_cli_section()))
+        parser = cli.build_parser()
+        parsers = [parser]
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+        defined = {flag for p in parsers for a in p._actions for flag in a.option_strings}
+        assert "--cache-dir" in named
+        assert named <= defined, sorted(named - defined)
 
 
 class TestDeterminism:

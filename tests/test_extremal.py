@@ -325,7 +325,7 @@ class TestSpex:
                     a, sizes = m.quotient()
                 else:
                     a, sizes = m.adjacency(float), [1] * m.n
-                res = extremal.power_radius(a, sizes, tol=1e-12)
+                res = extremal.power_radius(a, sizes)
                 assert res.converged
                 rhos.append(res.rho)
             top = max(rhos)
@@ -569,9 +569,9 @@ class TestPowerIterationConvergence:
     def test_unconverged_radius_raises(self, monkeypatch):
         real = extremal.power_radius
 
-        def stalled(a, sizes, tol=1e-12, max_iterations=10**6):
+        def stalled(a, sizes, max_iterations=10**6):
             return dataclasses.replace(
-                real(a, sizes, tol=tol, max_iterations=max_iterations), converged=False
+                real(a, sizes, max_iterations=max_iterations), converged=False
             )
 
         monkeypatch.setattr(extremal, "power_radius", stalled)
@@ -614,7 +614,7 @@ class TestVerifyCorollaryTnrk:
         scored = []
         for e in single_part:
             host = next(h for h in e.hosts if h is not None and h.num_edges)
-            scored.append((e, host, rho_power(e.realize(), tol=1e-12).rho))
+            scored.append((e, host, rho_power(e.realize()).rho))
         for i in range(len(scored)):
             for j in range(len(scored)):
                 if i == j:

@@ -56,6 +56,13 @@ class TestEdgeList:
             parse_edge_list("3 1\n2 2\n")
         assert err.value.line == 2
 
+    def test_repeated_edge_line_number(self):
+        # "1 0" is the edge "0 1" again, so the graph would have fewer
+        # edges than the header declares.
+        with pytest.raises(FormatError, match="repeated edge '1 0', first given on line 2") as err:
+            parse_edge_list("3 2\n0 1\n1 0\n")
+        assert err.value.line == 3
+
     def test_out_of_range(self):
         with pytest.raises(FormatError, match="out of range"):
             parse_edge_list("2 1\n0 5\n")

@@ -30,7 +30,7 @@ from walkspectra import (
 )
 from walkspectra.extremal import sample_embedding, verify_multi_set
 from walkspectra.intervals import Ival
-from walkspectra.series import _part_plan, _resolvent_denominator
+from walkspectra.series import SOLVE_TOL, _part_plan, _resolvent_denominator
 
 
 class TestEntrySeries:
@@ -149,7 +149,7 @@ class TestFEval:
 
     def test_one_edge_identity_at_measured_rho(self):
         e = MultipartiteEmbedding((3, 3), (complete(2), None))
-        rho = rho_power(e.realize(), tol=1e-12).rho
+        rho = rho_power(e.realize()).rho
         ev = f_eval(e, rho, 48)
         assert ev.value_lo - 1e-9 <= 1.0 <= ev.value_hi + 1e-9
 
@@ -241,14 +241,14 @@ class TestSolve:
     def test_matches_power_iteration(self):
         e = MultipartiteEmbedding((10, 10), (star(4), None))
         res = solve_rho_series(e)
-        power = rho_power(e.realize(), tol=1e-12).rho
+        power = rho_power(e.realize()).rho
         assert abs(res.rho - power) <= 1e-8
 
     def test_random_embeddings(self, rng):
         done = 0
         while done < 15:
             e = sample_embedding(rng)
-            power = rho_power(e.realize(), tol=1e-12).rho
+            power = rho_power(e.realize()).rho
             if power <= e.delta + 0.25:
                 continue
             res = solve_rho_series(e)
@@ -266,13 +266,12 @@ class TestSolve:
         e = MultipartiteEmbedding((1, 4))
         ev = f_resolvent(e, 2.0)
         assert ev.value_lo <= 1.0 <= ev.value_hi
-        tol = 1e-10
-        res = solve_rho_series(e, tol=tol)
+        res = solve_rho_series(e)
         lo, hi = res.bracket
         assert res.converged
         assert res.iterations == 1
         assert lo <= 2.0 <= hi
-        assert hi - lo <= tol
+        assert hi - lo <= SOLVE_TOL
 
     def test_refuses_uncertifiable_bracket(self):
         e = MultipartiteEmbedding((1, 5), (None, star(5)))
@@ -286,13 +285,13 @@ class TestSolve:
         while done < 8:
             e = sample_embedding(rng, part_range=(8, 16))
             g = e.realize()
-            rho = rho_power(g, tol=1e-12).rho
+            rho = rho_power(g).rho
             if rho <= e.delta + 1.0:
                 continue
             for i, (size, host) in enumerate(zip(e.part_sizes, e.hosts)):
                 part = list(e.part_range(i))
                 outside = [v for v in range(g.n) if v not in set(part)]
-                res = perron_normalized(g, outside, tol=1e-12)
+                res = perron_normalized(g, outside)
                 padded = (host or empty(0)).add_isolated(size - (host.n if host else 0))
                 for local, v in enumerate(part):
                     es = entry_series(padded, local, rho, 48)

@@ -84,14 +84,10 @@ class TestRhoPower:
 
     def test_iteration_cap_reports_best(self, monkeypatch):
         monkeypatch.setattr(spectral, "MAX_ITERATIONS", 50)
-        res = rho_power(path(30), tol=1e-30)
+        res = rho_power(path(30))
         assert not res.converged
         assert res.iterations == 50
         assert abs(res.rho - eig_rho(path(30))) < 1e-2
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(SpectralError):
-            rho_power(complete(3), tol=0.0)
 
     @pytest.mark.parametrize(
         "parts, host", [((10**4, 10**4), path(2)), ((10**4, 10**4 + 1), None)]
