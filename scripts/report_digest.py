@@ -1,12 +1,17 @@
 """Print one sha256 per group of walkspectra outputs.
 
-Two checkouts that print the same digests give byte-identical reports on
-every group, so a change meant to keep outputs can be checked by running
-this script on both:
-
     PYTHONPATH=src python scripts/report_digest.py [GROUP ...]
 
-Groups (all of them when none is named):
+The first line names the Python and numpy versions; then each group named
+(all of them when none is) prints its name, its count of outputs and the
+sha256 over them.  ``report_digests.txt`` beside this script holds the full
+output as last taken, and ``tests/test_report_digest.py`` recomputes every
+group and compares, so any change to a report's bytes fails that group's
+test.  A change that moves a group on purpose re-takes the file with
+
+    PYTHONPATH=src python scripts/report_digest.py > scripts/report_digests.txt
+
+Groups:
 
     tnrk       the 468 cor-tnrk reports, r in {2, 3}, k in 2..5, n = r..60
     onset      the 19 one-set pairs of bench/expected/onset_table.json, each
@@ -18,8 +23,7 @@ Groups (all of them when none is named):
                convergence flag (floats as hex)
     spex       the spectral argmax (top, runner-up, winners) of the m-edge
                families, m = 1..7
-    cli        the README's command lines, plus ``rho --method power`` and
-               ``verify --theorem multi-set`` on one embedding, each in
+    cli        the README's command lines and ``EXTRA_COMMANDS``, each in
                json, table and csv (exit code, stdout and stderr)
 
 Reports are rendered by the CLI's own JSON writer (17 significant digits).
@@ -34,22 +38,28 @@ import hashlib
 import io
 import json
 import os
+import platform
 import random
 import shlex
 import sys
 import tempfile
+from unittest import mock
+
+import numpy as np
 
 from walkspectra import cli, extremal, series
 from walkspectra.graphio import from_graph6, to_graph6
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RECORD = os.path.join(ROOT, "scripts", "report_digests.txt")
 ONSET_S_SIZE = 3
 ONSET_N_MAX = 200
 MULTI_SET_SEEDS = 150
 SERIES_SEEDS = 300
 SERIES_GAPS = (1e-6, 0.01, 0.5, 3.0)
 
-# The edge-list files the README's command lines name.
+# The edge-list files the README's command lines name, written to the
+# working directory the commands run in.
 README_FILES = {
     "k3.el": "3 3\n0 1\n0 2\n1 2\n",
     "s3.el": "4 3\n0 1\n0 2\n0 3\n",
@@ -107,25 +117,44 @@ def spex():
         })
 
 
-def _readme_commands():
+def readme_cli_section():
+    """The README's "Command line" section: its command block and prose."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        lines = fh.read().split("## Command line", 1)[1].split("```")[1].splitlines()
-    cmds = [shlex.split(line)[1:] for line in lines if line.startswith("walkspectra ")]
-    return cmds + [
-        ["rho", "--family", "turan:7,3", "--method", "power"],
-        ["verify", "--theorem", "multi-set", "--parts", "5,5", "--host", "1=star:4"],
-    ]
+        return fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_commands():
+    """The argv of each command line in the README's command block."""
+    block = readme_cli_section().split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("walkspectra ")]
+
+
+# Beyond the README: two modes it does not show, then the refusals (a flag
+# argparse does not define, one the mode does not read, a missing
+# --theorem) and --version.
+EXTRA_COMMANDS = [
+    ["rho", "--family", "turan:7,3", "--method", "power"],
+    ["verify", "--theorem", "multi-set", "--parts", "5,5", "--host", "1=star:4"],
+    ["rho", "--family", "star:3", "--depth", "5"],
+    ["rho", "--family", "star:5", "--parts", "2,2"],
+    ["verify", "--m", "3"],
+    ["--version"],
+]
 
 
 def commands():
-    with tempfile.TemporaryDirectory() as tmp:
+    # argparse wraps its usage text to the terminal width, read from COLUMNS.
+    env = {"COLUMNS": "80"}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
+        os.environ.pop(cli.CACHE_ENV, None)
         for name, text in README_FILES.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for argv in _readme_commands():
+            for argv in readme_commands() + EXTRA_COMMANDS:
                 for fmt in ("json", "table", "csv"):
                     out, err = io.StringIO(), io.StringIO()
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -140,6 +169,26 @@ GROUPS = {"tnrk": tnrk, "onset": onset, "multi-set": multi_set, "series": series
           "spex": spex, "cli": commands}
 
 
+def versions():
+    return f"python {platform.python_version()}, numpy {np.__version__}"
+
+
+def digest_line(name):
+    """The group's line: its name, its count of outputs and their sha256."""
+    digest, count = hashlib.sha256(), 0
+    for text in GROUPS[name]():
+        digest.update(text.encode("utf-8") + b"\n")
+        count += 1
+    return f"{name:<9} {count:>4}  {digest.hexdigest()}"
+
+
+def recorded():
+    """The versions line of ``report_digests.txt`` and its lines by group."""
+    with open(RECORD, encoding="utf-8") as fh:
+        head, *lines = fh.read().splitlines()
+    return head.lstrip("# "), {line.split()[0]: line for line in lines}
+
+
 def main(argv=None):
     names = (sys.argv[1:] if argv is None else argv) or list(GROUPS)
     unknown = [name for name in names if name not in GROUPS]
@@ -147,12 +196,9 @@ def main(argv=None):
         print(f"unknown group(s): {', '.join(unknown)}; choose from {', '.join(GROUPS)}",
               file=sys.stderr)
         return 2
+    print(f"# {versions()}")
     for name in names:
-        digest, count = hashlib.sha256(), 0
-        for text in GROUPS[name]():
-            digest.update(text.encode("utf-8") + b"\n")
-            count += 1
-        print(f"{name:<9} {count:>4}  {digest.hexdigest()}")
+        print(digest_line(name))
     return 0
 
 

@@ -7,6 +7,8 @@ Each mode of a subcommand reads the flags that ``_MODES`` lists for it, plus
 
 Exit codes: 0 success or verification pass, 1 verification failure,
 2 usage, input-format or unreadable-file error, 3 theorem hypothesis not met.
+``main`` returns each of them, including argparse's refusals and the 0 of
+--help and --version.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from .extremal import (
     verify_multi_set,
     verify_one_set,
 )
-from .graphio import from_graph6, read_graph6, to_graph6
-from .graphio import parse_edge_list
+from .graphio import from_graph6, parse_edge_list, read_graph6, read_text, to_graph6
 from .graphs import (
     MultipartiteEmbedding,
     complete,
@@ -90,8 +91,7 @@ def family_graph(spec):
 
 
 def _graph_from_file(path_):
-    with open(path_, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path_)
     lines = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
     if not lines:
         raise FormatError(f"no graph data in {path_}")
@@ -529,6 +529,19 @@ def _handler(args):
     return handler
 
 
+class _ParserExit(Exception):
+    """A parser's exit status, carried to ``main`` to return."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse ends a refusal, --help and --version with exit(); this one
+    # prints the same message, then lets main return the status.
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _ParserExit(status)
+
+
 def _add_graph_options(sub):
     sub.add_argument("--graph", help="edge-list (or graph6) file path")
     sub.add_argument("--graph6", help="inline graph6 string")
@@ -540,7 +553,7 @@ def build_parser():
     """The argument parser, built on first use and shared by every call: it
     holds no per-invocation state, and building it costs far more than a
     parse."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="walkspectra",
         description="Graph spectral radii through walk-count series.",
     )
@@ -617,7 +630,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _ParserExit as exc:
+        return exc.args[0]
     try:
         code, report = _handler(args)(args)
     except HypothesisNotMet as exc:

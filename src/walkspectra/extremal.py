@@ -142,7 +142,7 @@ def enumerate_m_edge(m, cache_dir=None):
     if path is not None and os.path.exists(path):
         try:
             members = read_graph6(path)
-        except (FormatError, UnicodeDecodeError):
+        except FormatError:
             members = []  # damaged cache; regenerate below
         if len(members) == M_EDGE_COUNTS[m - 1] and all(
             g.num_edges == m and min(g.degrees) > 0 for g in members

@@ -173,18 +173,27 @@ def from_graph6(s):
     return Graph.from_edge_list(n, edges)
 
 
+def read_text(path):
+    """The text of a graph file; one that is not UTF-8 raises FormatError
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path} is not UTF-8 text") from None
+
+
 def read_graph6(path):
     """Read a file of graph6 lines into a list of graphs."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                out.append(from_graph6(line))
-            except FormatError as exc:
-                raise FormatError(f"bad graph6 record: {exc}", line=lineno) from None
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            out.append(from_graph6(line))
+        except FormatError as exc:
+            raise FormatError(f"bad graph6 record: {exc}", line=lineno) from None
     return out
 
 

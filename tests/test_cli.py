@@ -3,12 +3,11 @@ import hashlib
 import json
 import os
 import re
-import shlex
-from pathlib import Path
 
 import pytest
 
-from walkspectra import cli, extremal
+from report_digest import README_FILES, readme_cli_section, readme_commands
+from walkspectra import __version__, cli, extremal
 from walkspectra.cli import (
     EXIT_FAIL,
     EXIT_INAPPLICABLE,
@@ -19,33 +18,27 @@ from walkspectra.cli import (
 
 
 @pytest.fixture
-def k3_file(tmp_path):
-    p = tmp_path / "k3.el"
-    p.write_text("3 3\n0 1\n1 2\n0 2\n")
-    return str(p)
+def readme_dir(tmp_path):
+    # The edge-list files the README's command lines name.
+    for name, text in README_FILES.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path
 
 
 @pytest.fixture
-def s3_file(tmp_path):
-    p = tmp_path / "s3.el"
-    p.write_text("4 3\n0 1\n0 2\n0 3\n")
-    return str(p)
+def k3_file(readme_dir):
+    return str(readme_dir / "k3.el")
+
+
+@pytest.fixture
+def s3_file(readme_dir):
+    return str(readme_dir / "s3.el")
 
 
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
-
-
-def readme_cli_section():
-    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
-
-
-def readme_commands():
-    block = readme_cli_section().split("```sh", 1)[1].split("```", 1)[0]
-    return [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
 
 
 class TestWalks:
@@ -315,10 +308,7 @@ class TestVerify:
 
 
 def run_captured(capsys, argv):
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
+    code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -335,6 +325,33 @@ class TestParser:
 
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [("--version", f"{__version__}\n"), ("walks --help", "usage: walkspectra walks [-h]")],
+    )
+    def test_help_and_version_return_ok(self, capsys, argv, out):
+        code, got_out, err = run_captured(capsys, argv.split())
+        assert code == EXIT_OK
+        assert got_out.startswith(out)
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("", "the following arguments are required: subcommand"),
+            ("nosuch", "argument subcommand: invalid choice: 'nosuch'"),
+            ("rho --family star:3 --method qr", "argument --method: invalid choice: 'qr'"),
+            ("verify --m 3", "the following arguments are required: --theorem"),
+        ],
+    )
+    def test_argparse_refusal_returns_usage(self, capsys, argv, message):
+        # argparse's own usage and error text, returned from main, not raised
+        code, out, err = run_captured(capsys, argv.split())
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage: walkspectra")
+        assert f"error: {message}" in err
 
     def test_shared_parser_matches_fresh(self, capsys):
         fresh = []
@@ -362,6 +379,20 @@ class TestInputsAndErrors:
         code = main(["walks", "--graph", str(twice), "--depth", "2"])
         assert code == EXIT_USAGE
         assert "line 3: repeated edge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["walks", "--graph", "{}", "--depth", "2"],
+            ["compare", "--g1", "{}", "--g2", "star:3"],
+            ["exfilter", "--family-file", "{}", "--infinity"],
+        ],
+    )
+    def test_non_utf8_file_rejected(self, capsys, tmp_path, argv):
+        binary = tmp_path / "bin.el"
+        binary.write_bytes(b"3 2\n0 1\n1 \xff2\n")
+        assert main([a.format(binary) for a in argv]) == EXIT_USAGE
+        assert f"error: {binary} is not UTF-8 text" in capsys.readouterr().err
 
     def test_several_graph6_lines_rejected(self, capsys, tmp_path):
         two = tmp_path / "two.g6"
@@ -397,9 +428,10 @@ class TestInputsAndErrors:
         ],
     )
     def test_options_only_where_read(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == EXIT_USAGE
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -469,11 +501,9 @@ class TestInputsAndErrors:
 
 class TestReadme:
     @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
-    def test_documented_command(self, capsys, tmp_path, monkeypatch, argv):
-        # the README's edge-list examples, in a fresh working directory
-        (tmp_path / "k3.el").write_text("3 3\n0 1\n1 2\n0 2\n")
-        (tmp_path / "s3.el").write_text("4 3\n0 1\n0 2\n0 3\n")
-        monkeypatch.chdir(tmp_path)
+    def test_documented_command(self, capsys, readme_dir, monkeypatch, argv):
+        # in a fresh working directory that holds the README's edge-list files
+        monkeypatch.chdir(readme_dir)
         monkeypatch.delenv("WALKSPECTRA_CACHE", raising=False)
         assert main(argv) == EXIT_OK
         captured = capsys.readouterr()

@@ -188,6 +188,14 @@ class TestEnumerateMEdge:
         assert len(cache.read_text().splitlines()) == 11
         assert [p.name for p in tmp_path.iterdir()] == ["m_edge_4.g6"]
 
+    def test_non_utf8_cache_regenerated(self, tmp_path):
+        full = enumerate_m_edge(3, cache_dir=str(tmp_path)).members
+        cache = tmp_path / "m_edge_3.g6"
+        text = cache.read_text()
+        cache.write_bytes(b"\xff\xfe\n")
+        assert enumerate_m_edge(3, cache_dir=str(tmp_path)).members == full
+        assert cache.read_text() == text
+
     def test_isolated_vertex_cache_regenerated(self, tmp_path):
         # Cg is P3 plus an isolated vertex: two edges, right class count.
         cache = tmp_path / "m_edge_2.g6"

@@ -148,6 +148,13 @@ class TestGraph6:
         write_graph6(graphs_list, path)
         assert read_graph6(path) == graphs_list
 
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "bin.g6"
+        path.write_bytes(b"Bw\n\xffBw\n")
+        with pytest.raises(FormatError) as err:
+            read_graph6(path)
+        assert str(err.value) == f"{path} is not UTF-8 text"
+
     def test_file_bad_record_line(self, tmp_path):
         path = tmp_path / "bad.g6"
         path.write_text("Bw\n??bad!!\n")
