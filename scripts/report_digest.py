@@ -28,7 +28,9 @@ Groups:
 
 Reports are rendered by the CLI's own JSON writer (17 significant digits).
 The script reads ``bench/expected`` and the README and writes only to a
-temporary directory.
+temporary directory.  Each group's wall time goes to stderr, one line
+such as ``series 0.52 s`` per group; stdout, and so ``report_digests.txt``,
+holds the versions and digests alone.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import random
 import shlex
 import sys
 import tempfile
+import time
 from unittest import mock
 
 import numpy as np
@@ -198,7 +201,9 @@ def main(argv=None):
         return 2
     print(f"# {versions()}")
     for name in names:
+        start = time.perf_counter()
         print(digest_line(name))
+        print(f"{name} {time.perf_counter() - start:.2f} s", file=sys.stderr)
     return 0
 
 

@@ -36,7 +36,7 @@ from .extremal import (
     verify_multi_set,
     verify_one_set,
 )
-from .graphio import from_graph6, parse_edge_list, read_graph6, read_text, to_graph6
+from .graphio import from_graph6, graph6_record, parse_edge_list, read_graph6, read_text, to_graph6
 from .graphs import (
     MultipartiteEmbedding,
     complete,
@@ -91,16 +91,26 @@ def family_graph(spec):
 
 
 def _graph_from_file(path_):
+    """The one graph of an edge-list or graph6 file; a bad record raises
+    FormatError naming the file."""
     text = read_text(path_)
-    lines = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
-    if not lines:
+    rows = [
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())
+    ]
+    if not rows:
         raise FormatError(f"no graph data in {path_}")
-    parts = lines[0].split()
+    lineno, first = rows[0]
+    parts = first.split()
     if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
-        return parse_edge_list(text)
-    if len(lines) > 1:
-        raise FormatError(f"{path_} holds {len(lines)} graph6 lines; one graph expected")
-    return from_graph6(lines[0])
+        try:
+            return parse_edge_list(text)
+        except FormatError as exc:
+            raise FormatError(exc.reason, line=exc.line, path=path_) from None
+    if len(rows) > 1:
+        raise FormatError(f"{path_} holds {len(rows)} graph6 lines; one graph expected")
+    return graph6_record(first, lineno, path_)
 
 
 def load_graph(spec):

@@ -19,13 +19,18 @@ class GraphError(ValueError):
 class FormatError(GraphError):
     """Malformed graph file or string.
 
-    Carries an optional 1-based line number for diagnostics.
+    Carries an optional 1-based line number and file path for diagnostics;
+    the message leads with the path, then the line, then ``reason``.
     """
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
+        self.reason = message
         self.line = line
+        self.path = path
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
 
 

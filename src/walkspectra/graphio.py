@@ -183,18 +183,22 @@ def read_text(path):
         raise FormatError(f"{path} is not UTF-8 text") from None
 
 
+def graph6_record(record, line, path):
+    """Decode one graph6 line of a file; a bad one raises FormatError
+    naming the file and the line."""
+    try:
+        return from_graph6(record)
+    except FormatError as exc:
+        raise FormatError(f"bad graph6 record: {exc}", line=line, path=path) from None
+
+
 def read_graph6(path):
     """Read a file of graph6 lines into a list of graphs."""
-    out = []
-    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            out.append(from_graph6(line))
-        except FormatError as exc:
-            raise FormatError(f"bad graph6 record: {exc}", line=lineno) from None
-    return out
+    return [
+        graph6_record(line, lineno, path)
+        for lineno, raw in enumerate(read_text(path).split("\n"), start=1)
+        if (line := raw.strip())
+    ]
 
 
 def write_graph6(graphs, path):

@@ -4,6 +4,11 @@ Directed rounding is emulated by widening every arithmetic result one unit
 in the last place on each side, which dominates the half-ulp error of
 round-to-nearest.  Enclosures therefore stay conservative through chains of
 operations, at the cost of a little slack per step.
+
+The series probe's denominator (``series._resolvent_denominator``) applies
+the same rule inline, on float endpoint pairs, to its residuals, its sum
+and Varah's error term, and ``tests/test_series.py::TestDenominatorKernel``
+pins its bits to Ival's.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ dominant matrix xI - A_H (Varah 1975, Linear Algebra Appl. 11).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,6 +213,9 @@ def f_eval(embedding, x, depth):
 
 _ONE = Ival(1.0)
 _ZERO = Ival(0.0)
+_INF = math.inf
+_NEG_INF = -math.inf
+_next = math.nextafter
 
 
 def _probe_plan(embedding):
@@ -232,35 +236,51 @@ def _part_plan(size, host):
     )
 
 
-def _resolvent_denominator(part, x, x_iv):
+def _resolvent_denominator(part, x):
     """Certified enclosure of 1 + n_s/x + sum_{i>=1} W_i(H)/x^{i+1}, the
-    series summed to infinity, for a :func:`_part_plan` at x = ``x_iv``.
+    series summed to infinity, for a :func:`_part_plan` at a float x above
+    the host's max degree D.
 
     sum_{i>=0} W_i / x^{i+1} = 1^T y with (xI - A_H) y = 1, so the
     denominator is 1 + (n_s - n_H)/x + sum(y).  y is solved in floats; for
     x > D the matrix is strictly diagonally dominant with row margin at
     least x - D, so |y - y_hat|_inf <= |1 - (xI - A_H) y_hat|_inf / (x - D)
     (Varah's bound), with the residual evaluated in interval arithmetic.
+
+    Rounding rule: the per-vertex residuals, the running sum of y and
+    Varah's error term keep their intervals as pairs of float endpoints.
+    Each operation rounds to nearest and then steps its low end down and
+    its high end up by one ``math.nextafter``: the operations
+    :class:`Ival` performs, in the same order, so the result has Ival's
+    bits.  ``TestDenominatorKernel`` in ``tests/test_series.py`` pins the
+    two together.  A nan x raises ValueError.  (At x = inf, y = 0 and
+    x * y is nan where Ival reads 0; that residual is dropped, but Varah's
+    term is 0 either way and the bits agree.)
     """
     rest, host = part
+    head = _ONE + rest / Ival(x)
     if host is None:
-        return _ONE + rest / x_iv
+        return head
     neg_adj, ones, neighbor_lists, delta, k = host
     m = neg_adj.copy()
     np.fill_diagonal(m, x)  # xI - A_H
     y = np.linalg.solve(m, ones).tolist()
     res_norm = 0.0
-    total = _ZERO
+    sum_lo = sum_hi = 0.0
     for u, nbrs in enumerate(neighbor_lists):
         yu = y[u]
-        res = _ONE - x_iv * yu
+        p = x * yu
+        res_lo = _next(1.0 - _next(p, _INF), _NEG_INF)
+        res_hi = _next(1.0 - _next(p, _NEG_INF), _INF)
         for v in nbrs:
-            res = res + y[v]
-        res_norm = max(res_norm, -res.lo, res.hi)
-        total = total + yu
-    err = (Ival(res_norm) / (x_iv - delta)).hi
-    total = total + Ival(-err, err) * k
-    return _ONE + rest / x_iv + total
+            yv = y[v]
+            res_lo = _next(res_lo + yv, _NEG_INF)
+            res_hi = _next(res_hi + yv, _INF)
+        res_norm = max(res_norm, -res_lo, res_hi)
+        sum_lo = _next(sum_lo + yu, _NEG_INF)
+        sum_hi = _next(sum_hi + yu, _INF)
+    err = _next(_next(res_norm / _next(x - delta, _NEG_INF), _INF) * k, _INF)
+    return head + Ival(_next(sum_lo - err, _NEG_INF), _next(sum_hi + err, _INF))
 
 
 def f_resolvent(embedding, x):
@@ -281,10 +301,9 @@ def _resolvent_probe(plan, x):
         raise HypothesisNotMet(
             f"series evaluation needs x > max host degree ({x} <= {delta})"
         )
-    x_iv = Ival(x)
     total = _ZERO
     for part in parts:
-        total = total + _ONE / _resolvent_denominator(part, x, x_iv)
+        total = total + _ONE / _resolvent_denominator(part, x)
     return total
 
 

@@ -372,6 +372,26 @@ class TestInputsAndErrors:
         assert code == EXIT_USAGE
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            ("3 2\n0 1\n1 9\n", ["compare", "--g1", "{}", "--g2", "star:3"],
+             "line 3: endpoint out of range 0..2: '1 9'"),
+            ("3 2\n0 1\n1 9\n", ["solve-series", "--parts", "5,5", "--host", "1={}"],
+             "line 3: endpoint out of range 0..2: '1 9'"),
+            ("# one graph\n??bad\n", ["walks", "--graph", "{}", "--depth", "2"],
+             "line 2: bad graph6 record: graph6 body has 4 bytes, expected 0 for n=0"),
+            ("Bw\n??bad\n", ["exfilter", "--family-file", "{}", "--infinity"],
+             "line 2: bad graph6 record: graph6 body has 4 bytes, expected 0 for n=0"),
+        ],
+        ids=["compare-edge-list", "host-edge-list", "one-graph6-line", "graph6-family"],
+    )
+    def test_bad_record_names_file(self, capsys, tmp_path, text, argv, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main([a.format(bad) for a in argv]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
     def test_repeated_edge_rejected(self, capsys, tmp_path):
         # The header declares two edges, but the file holds one twice.
         twice = tmp_path / "twice.el"

@@ -161,3 +161,14 @@ class TestGraph6:
         with pytest.raises(FormatError) as err:
             read_graph6(path)
         assert err.value.line == 2
+
+    def test_file_bad_record_names_file(self, tmp_path):
+        path = tmp_path / "bad.g6"
+        path.write_text("Bw\n??bad\n")
+        with pytest.raises(FormatError) as err:
+            read_graph6(path)
+        assert err.value.path == path
+        assert str(err.value) == (
+            f"{path}: line 2: bad graph6 record: "
+            "graph6 body has 4 bytes, expected 0 for n=0"
+        )

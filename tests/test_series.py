@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -25,7 +27,8 @@ from walkspectra import (
     star,
     tail_bound,
 )
-from walkspectra.extremal import sample_embedding
+from walkspectra.extremal import enumerate_m_edge, sample_embedding
+from walkspectra.graphio import to_graph6
 from walkspectra.intervals import Ival
 from walkspectra.series import SOLVE_TOL, _part_plan, _resolvent_denominator
 
@@ -201,7 +204,7 @@ class TestFResolvent:
                     continue
                 for gap in (1e-6, 0.01, 0.5):
                     x = host.max_degree() + gap
-                    iv = _resolvent_denominator(_part_plan(size, host), x, Ival(x))
+                    iv = _resolvent_denominator(_part_plan(size, host), x)
                     exact = exact_denominator(size, host, x)
                     assert Fraction(iv.lo) <= exact <= Fraction(iv.hi)
 
@@ -219,6 +222,71 @@ class TestFResolvent:
         e = MultipartiteEmbedding((1, 3), (None, complete(3)))
         with pytest.raises(HypothesisNotMet):
             f_resolvent(e, 2.0)
+
+
+def interval_denominator(part, x):
+    """The series denominator computed with Ival arithmetic, operation by
+    operation: the reference whose bits ``_resolvent_denominator`` must
+    reproduce on float endpoints."""
+    rest, host = part
+    x_iv = Ival(x)
+    if host is None:
+        return Ival(1.0) + rest / x_iv
+    neg_adj, ones, neighbor_lists, delta, k = host
+    m = neg_adj.copy()
+    np.fill_diagonal(m, x)
+    y = np.linalg.solve(m, ones).tolist()
+    res_norm = 0.0
+    total = Ival(0.0)
+    for u, nbrs in enumerate(neighbor_lists):
+        yu = y[u]
+        res = Ival(1.0) - x_iv * yu
+        for v in nbrs:
+            res = res + y[v]
+        res_norm = max(res_norm, -res.lo, res.hi)
+        total = total + yu
+    err = (Ival(res_norm) / (x_iv - delta)).hi
+    total = total + Ival(-err, err) * k
+    return Ival(1.0) + rest / x_iv + total
+
+
+def hex_ends(iv):
+    return iv.lo.hex(), iv.hi.hex()
+
+
+class TestDenominatorKernel:
+    # At 2**-48 above the max degree Varah's error term outweighs the last
+    # bit of sum(y), so the residual's roundings show in the result.
+    GAPS = (2.0**-48, 2.0**-40, 1e-6, 0.01, 0.5, 3.0, 1e6)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_bits_match_interval_arithmetic(self, m):
+        for host in enumerate_m_edge(m).members:
+            for size in (host.n, host.n + 1, 30):
+                part = _part_plan(size, host)
+                for gap in self.GAPS:
+                    x = host.max_degree() + gap
+                    got = _resolvent_denominator(part, x)
+                    want = interval_denominator(part, x)
+                    assert hex_ends(got) == hex_ends(want), (to_graph6(host), size, gap)
+
+    def test_hostless_and_infinite_x_bits(self):
+        parts = [_part_plan(size, None) for size in (1, 2, 3, 30)]
+        parts += [_part_plan(size, host) for host in enumerate_m_edge(3).members
+                  for size in (host.n, 30)]
+        for part in parts:
+            for x in (0.1, 1.0 + 2.0**-40, 3.0, 1e6, math.inf):
+                if part[1] is None or x > part[1][3]:
+                    got = _resolvent_denominator(part, x)
+                    assert hex_ends(got) == hex_ends(interval_denominator(part, x))
+
+    @pytest.mark.parametrize("host", [None, star(3)])
+    def test_nan_x_raises_like_intervals(self, host):
+        part = _part_plan(4, host)
+        with pytest.raises(ValueError):
+            interval_denominator(part, math.nan)
+        with pytest.raises(ValueError):
+            _resolvent_denominator(part, math.nan)
 
 
 class TestSolve:
