@@ -18,9 +18,11 @@ Groups:
                over n = 3 + t_size..200 with a 3-vertex clique side
     multi-set  150 multi-set reports, ``sample_embedding`` seeds 0..149
     series     certified series outputs on ``sample_embedding`` seeds 0..299:
-               ``f_resolvent`` endpoints at delta + {1e-6, 0.01, 0.5, 3} and
-               the ``solve_rho_series`` rho, bracket, iterations and
-               convergence flag (floats as hex)
+               ``f_resolvent`` endpoints at delta + {2**-48, 1e-6, 0.01, 0.5,
+               3} and the ``solve_rho_series`` rho, bracket, iterations and
+               convergence flag (floats as hex); only as close to delta as
+               2**-48 does Varah's error term reach the last bit, so only
+               there would a dropped rounding show
     spex       the spectral argmax (top, runner-up, winners) of the m-edge
                families, m = 1..7
     cli        the README's command lines and ``EXTRA_COMMANDS``, each in
@@ -59,7 +61,7 @@ ONSET_S_SIZE = 3
 ONSET_N_MAX = 200
 MULTI_SET_SEEDS = 150
 SERIES_SEEDS = 300
-SERIES_GAPS = (1e-6, 0.01, 0.5, 3.0)
+SERIES_GAPS = (2.0**-48, 1e-6, 0.01, 0.5, 3.0)
 
 # The edge-list files the README's command lines name, written to the
 # working directory the commands run in.

@@ -13,7 +13,6 @@ so callers can scan parameter ranges and observe onset thresholds.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import sys
@@ -144,6 +143,11 @@ def enumerate_m_edge(m, cache_dir=None):
             members = read_graph6(path)
         except FormatError:
             members = []  # damaged cache; regenerate below
+        generated = _GENERATED.get(m)
+        if generated is not None and tuple(members) == generated:
+            # The file holds exactly the classes this process generated:
+            # return those, which carry their canonical forms.
+            return EnumerationFamily(f"m-edge:m={m}", list(generated))
         if len(members) == M_EDGE_COUNTS[m - 1] and all(
             g.num_edges == m and min(g.degrees) > 0 for g in members
         ):
@@ -159,10 +163,14 @@ def enumerate_m_edge(m, cache_dir=None):
     return EnumerationFamily(f"m-edge:m={m}", members)
 
 
-@functools.cache
+_GENERATED = {}  # m -> the m-edge classes this process generated
+
+
 def _m_edge_classes(m):
     """The m-edge classes in canonical-byte order, generated once per
     process; graphs are immutable, so callers share them."""
+    if m in _GENERATED:
+        return _GENERATED[m]
     level = {}
     seed = complete(2)
     level[canonical_form(seed).data] = seed
@@ -174,7 +182,8 @@ def _m_edge_classes(m):
                 if key not in nxt:
                     nxt[key] = h
         level = nxt
-    return tuple(level[k] for k in sorted(level))
+    classes = _GENERATED[m] = tuple(level[k] for k in sorted(level))
+    return classes
 
 
 def enumerate_m_edge_order(n, m, cache_dir=None):

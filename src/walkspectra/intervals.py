@@ -5,10 +5,12 @@ in the last place on each side, which dominates the half-ulp error of
 round-to-nearest.  Enclosures therefore stay conservative through chains of
 operations, at the cost of a little slack per step.
 
-The series probe's denominator (``series._resolvent_denominator``) applies
-the same rule inline, on float endpoint pairs, to its residuals, its sum
-and Varah's error term, and ``tests/test_series.py::TestDenominatorKernel``
-pins its bits to Ival's.
+The whole certified series probe (``series._resolvent_probe`` and the
+``series._resolvent_denominator`` of each part) applies the same rule
+inline, on float endpoint pairs: the head 1 + (n_s - n_H)/x, the
+residuals, the sum, Varah's error term, each part's reciprocal and the
+sum over the parts.  ``tests/test_series.py::TestProbeKernel`` and
+``TestDenominatorKernel`` pin its bits to Ival's.
 """
 
 from __future__ import annotations

@@ -211,8 +211,6 @@ def f_eval(embedding, x, depth):
     )
 
 
-_ONE = Ival(1.0)
-_ZERO = Ival(0.0)
 _INF = math.inf
 _NEG_INF = -math.inf
 _next = math.nextafter
@@ -225,21 +223,21 @@ def _probe_plan(embedding):
 
 
 def _part_plan(size, host):
-    """``(Ival(n_s - n_H), host)``, with the host given as -A_H in floats,
+    """``(float(n_s - n_H), host)``, with the host given as -A_H in floats,
     the solve's right-hand side, its neighbour lists, float(D_H) and
     float(n_H); an edgeless host counts as none."""
     if host is None or host.num_edges == 0:
-        return Ival(float(size)), None
+        return float(size), None
     k = host.n
-    return Ival(float(size - k)), (
+    return float(size - k), (
         0.0 - host.adj, np.ones(k), host.neighbor_lists, float(host.max_degree()), float(k)
     )
 
 
 def _resolvent_denominator(part, x):
-    """Certified enclosure of 1 + n_s/x + sum_{i>=1} W_i(H)/x^{i+1}, the
-    series summed to infinity, for a :func:`_part_plan` at a float x above
-    the host's max degree D.
+    """Certified enclosure ``(lo, hi)`` of 1 + n_s/x + sum_{i>=1}
+    W_i(H)/x^{i+1}, the series summed to infinity, for a :func:`_part_plan`
+    at a float x above the host's max degree D.
 
     sum_{i>=0} W_i / x^{i+1} = 1^T y with (xI - A_H) y = 1, so the
     denominator is 1 + (n_s - n_H)/x + sum(y).  y is solved in floats; for
@@ -247,20 +245,29 @@ def _resolvent_denominator(part, x):
     least x - D, so |y - y_hat|_inf <= |1 - (xI - A_H) y_hat|_inf / (x - D)
     (Varah's bound), with the residual evaluated in interval arithmetic.
 
-    Rounding rule: the per-vertex residuals, the running sum of y and
-    Varah's error term keep their intervals as pairs of float endpoints.
-    Each operation rounds to nearest and then steps its low end down and
-    its high end up by one ``math.nextafter``: the operations
-    :class:`Ival` performs, in the same order, so the result has Ival's
-    bits.  ``TestDenominatorKernel`` in ``tests/test_series.py`` pins the
-    two together.  A nan x raises ValueError.  (At x = inf, y = 0 and
-    x * y is nan where Ival reads 0; that residual is dropped, but Varah's
-    term is 0 either way and the bits agree.)
+    Rounding rule, the whole probe's (see :func:`_resolvent_probe`): the
+    head 1 + (n_s - n_H)/x, the per-vertex residuals, the running sum of
+    y, Varah's error term and the head plus the sum are each a pair of
+    float endpoints.  Each operation rounds to nearest and then steps its
+    low end down and its high end up by one ``math.nextafter``: the
+    operations :class:`Ival` performs, in the same order, so the result has
+    Ival's bits.  ``TestDenominatorKernel`` and ``TestProbeKernel`` in
+    ``tests/test_series.py`` pin the two together.  A nan x raises
+    ValueError and a non-positive one ZeroDivisionError, as Ival does.
+    (Ival's x = inf branch needs none here: (n_s - n_H)/inf is 0 already.
+    At x = inf, y = 0 and x * y is nan where Ival reads 0; that residual is
+    dropped, but Varah's term is 0 either way and the bits agree.)
     """
     rest, host = part
-    head = _ONE + rest / Ival(x)
+    if not x > 0.0:
+        if x != x:
+            raise ValueError(f"invalid interval [{x}, {x}]")
+        raise ZeroDivisionError("interval division requires a positive divisor")
+    q = rest / x
+    head_lo = _next(1.0 + _next(q, _NEG_INF), _NEG_INF)
+    head_hi = _next(1.0 + _next(q, _INF), _INF)
     if host is None:
-        return head
+        return head_lo, head_hi
     neg_adj, ones, neighbor_lists, delta, k = host
     m = neg_adj.copy()
     np.fill_diagonal(m, x)  # xI - A_H
@@ -280,31 +287,58 @@ def _resolvent_denominator(part, x):
         sum_lo = _next(sum_lo + yu, _NEG_INF)
         sum_hi = _next(sum_hi + yu, _INF)
     err = _next(_next(res_norm / _next(x - delta, _NEG_INF), _INF) * k, _INF)
-    return head + Ival(_next(sum_lo - err, _NEG_INF), _next(sum_hi + err, _INF))
+    return (
+        _next(head_lo + _next(sum_lo - err, _NEG_INF), _NEG_INF),
+        _next(head_hi + _next(sum_hi + err, _INF), _INF),
+    )
 
 
 def f_resolvent(embedding, x):
     """Certified enclosure of the part-sum f(x) with every inner series
     summed to infinity in closed form: no truncation, so depth and tail
-    bound are both reported as 0."""
+    bound are both reported as 0.
+
+    The endpoints are :func:`_resolvent_probe`'s: every operation of the
+    probe runs on float endpoint pairs, rounded to nearest and then outward
+    by one ``math.nextafter`` per endpoint, in :class:`Ival`'s order, so
+    they have Ival's bits; ``TestProbeKernel`` in ``tests/test_series.py``
+    pins them.
+    """
     x = float(x)
-    total = _resolvent_probe(_probe_plan(embedding), x)
-    return SeriesEvaluation(
-        x=x, depth=0, value_lo=total.lo, value_hi=total.hi, tail_bound=0.0
-    )
+    lo, hi = _resolvent_probe(_probe_plan(embedding), x)
+    return SeriesEvaluation(x=x, depth=0, value_lo=lo, value_hi=hi, tail_bound=0.0)
 
 
 def _resolvent_probe(plan, x):
-    """:func:`f_resolvent` at a float x for a :func:`_probe_plan`, as an Ival."""
+    """:func:`f_resolvent` at a float x for a :func:`_probe_plan`, as a
+    ``(lo, hi)`` pair: the sum over the parts of 1/D_s, D_s each part's
+    :func:`_resolvent_denominator`.
+
+    Rounding rule for the whole probe: every interval in it - each part's
+    head, residuals, sum, Varah term and D_s (see
+    :func:`_resolvent_denominator`), each reciprocal 1/D_s and the running
+    sum over the parts, from 0 - is a pair of float endpoints.  Each
+    operation rounds to nearest and then steps its low end down and its
+    high end up by one ``math.nextafter``, as :class:`Ival` rounds
+    ``Ival(0.0) + Ival(1.0) / D_1 + ...``, so the result has Ival's bits;
+    ``TestProbeKernel`` in ``tests/test_series.py`` pins them.  (Ival's
+    branch for an infinite D_s needs none here: 1/inf is 0 already.)  A
+    nan x raises HypothesisNotMet, and a D_s whose low end is not positive
+    ZeroDivisionError.
+    """
     delta, parts = plan
     if not x > delta:
         raise HypothesisNotMet(
             f"series evaluation needs x > max host degree ({x} <= {delta})"
         )
-    total = _ZERO
+    lo = hi = 0.0
     for part in parts:
-        total = total + _ONE / _resolvent_denominator(part, x)
-    return total
+        d_lo, d_hi = _resolvent_denominator(part, x)
+        if d_lo <= 0.0:
+            raise ZeroDivisionError("interval division requires a positive divisor")
+        lo = _next(lo + _next(1.0 / d_hi, _NEG_INF), _NEG_INF)
+        hi = _next(hi + _next(1.0 / d_lo, _INF), _INF)
+    return lo, hi
 
 
 def solve_rho_series(embedding):
@@ -334,16 +368,16 @@ def solve_rho_series(embedding):
         if not a < x < b:
             break
         steps += 1
-        ev = _resolvent_probe(plan, x)
-        if ev.hi < target:
+        lo, hi = _resolvent_probe(plan, x)
+        if hi < target:
             a, a_certified = x, True
-        elif ev.lo > target:
+        elif lo > target:
             b = x
         else:
             q = 0.25 * SOLVE_TOL
-            if _resolvent_probe(plan, x - q).hi < target:
+            if _resolvent_probe(plan, x - q)[1] < target:
                 a, a_certified = x - q, True
-            if _resolvent_probe(plan, x + q).lo > target:
+            if _resolvent_probe(plan, x + q)[0] > target:
                 b = x + q
             break
     if not a_certified:

@@ -25,7 +25,7 @@ from walkspectra import (
     star,
     to_graph6,
 )
-from walkspectra import extremal
+from walkspectra import extremal, graphs
 from walkspectra.extremal import (
     enumerate_embeddings,
     enumerate_m_edge,
@@ -223,6 +223,19 @@ class TestEnumerateMEdge:
             assert rng_cached.getstate() == rng_plain.getstate()
             assert reads and len(reads) == len(set(reads))
             reads.clear()
+
+    def test_warm_cache_computes_no_canonical_form(self, tmp_path, monkeypatch):
+        # The first call generates the classes, writes the cache and
+        # computes every host's canonical form; the second reads the cache
+        # back and reuses the generated graphs.
+        cache = str(tmp_path)
+        cold = enumerate_embeddings(28, 3, 5, cache_dir=cache)
+        forms = []
+        real = graphs._assemble_form
+        monkeypatch.setattr(graphs, "_assemble_form", lambda *a: forms.append(a) or real(*a))
+        warm = enumerate_embeddings(28, 3, 5, cache_dir=cache)
+        assert forms == []
+        assert [e.key() for e in warm] == [e.key() for e in cold]
 
     def test_padded_family(self):
         fam = enumerate_m_edge_order(8, 3)

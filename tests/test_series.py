@@ -30,7 +30,13 @@ from walkspectra import (
 from walkspectra.extremal import enumerate_m_edge, sample_embedding
 from walkspectra.graphio import to_graph6
 from walkspectra.intervals import Ival
-from walkspectra.series import SOLVE_TOL, _part_plan, _resolvent_denominator
+from walkspectra.series import (
+    SOLVE_TOL,
+    _part_plan,
+    _probe_plan,
+    _resolvent_denominator,
+    _resolvent_probe,
+)
 
 
 class TestEntrySeries:
@@ -204,9 +210,9 @@ class TestFResolvent:
                     continue
                 for gap in (1e-6, 0.01, 0.5):
                     x = host.max_degree() + gap
-                    iv = _resolvent_denominator(_part_plan(size, host), x)
+                    lo, hi = _resolvent_denominator(_part_plan(size, host), x)
                     exact = exact_denominator(size, host, x)
-                    assert Fraction(iv.lo) <= exact <= Fraction(iv.hi)
+                    assert Fraction(lo) <= exact <= Fraction(hi)
 
     def test_overlaps_depth_64_series(self, rng):
         for _ in range(25):
@@ -230,8 +236,9 @@ def interval_denominator(part, x):
     reproduce on float endpoints."""
     rest, host = part
     x_iv = Ival(x)
+    head = Ival(1.0) + Ival(rest) / x_iv
     if host is None:
-        return Ival(1.0) + rest / x_iv
+        return head
     neg_adj, ones, neighbor_lists, delta, k = host
     m = neg_adj.copy()
     np.fill_diagonal(m, x)
@@ -247,11 +254,28 @@ def interval_denominator(part, x):
         total = total + yu
     err = (Ival(res_norm) / (x_iv - delta)).hi
     total = total + Ival(-err, err) * k
-    return Ival(1.0) + rest / x_iv + total
+    return head + total
+
+
+def interval_probe(plan, x):
+    """The whole probe in Ival arithmetic: the sum of the parts' reciprocal
+    denominators from Ival(0.0), the reference whose bits
+    ``_resolvent_probe`` and ``f_resolvent`` must reproduce."""
+    delta, parts = plan
+    if not x > delta:
+        raise HypothesisNotMet(f"x = {x} is not above {delta}")
+    total = Ival(0.0)
+    for part in parts:
+        total = total + Ival(1.0) / interval_denominator(part, x)
+    return total
 
 
 def hex_ends(iv):
     return iv.lo.hex(), iv.hi.hex()
+
+
+def hex_pair(pair):
+    return tuple(map(float.hex, pair))
 
 
 class TestDenominatorKernel:
@@ -268,7 +292,7 @@ class TestDenominatorKernel:
                     x = host.max_degree() + gap
                     got = _resolvent_denominator(part, x)
                     want = interval_denominator(part, x)
-                    assert hex_ends(got) == hex_ends(want), (to_graph6(host), size, gap)
+                    assert hex_pair(got) == hex_ends(want), (to_graph6(host), size, gap)
 
     def test_hostless_and_infinite_x_bits(self):
         parts = [_part_plan(size, None) for size in (1, 2, 3, 30)]
@@ -278,7 +302,7 @@ class TestDenominatorKernel:
             for x in (0.1, 1.0 + 2.0**-40, 3.0, 1e6, math.inf):
                 if part[1] is None or x > part[1][3]:
                     got = _resolvent_denominator(part, x)
-                    assert hex_ends(got) == hex_ends(interval_denominator(part, x))
+                    assert hex_pair(got) == hex_ends(interval_denominator(part, x))
 
     @pytest.mark.parametrize("host", [None, star(3)])
     def test_nan_x_raises_like_intervals(self, host):
@@ -287,6 +311,61 @@ class TestDenominatorKernel:
             interval_denominator(part, math.nan)
         with pytest.raises(ValueError):
             _resolvent_denominator(part, math.nan)
+
+    @pytest.mark.parametrize("host", [None, star(3)])
+    @pytest.mark.parametrize("x", [0.0, -1.0])
+    def test_non_positive_x_raises_like_intervals(self, host, x):
+        part = _part_plan(4, host)
+        with pytest.raises(ZeroDivisionError):
+            interval_denominator(part, x)
+        with pytest.raises(ZeroDivisionError):
+            _resolvent_denominator(part, x)
+
+
+class TestProbeKernel:
+    # The whole probe on float endpoints against interval_probe, through
+    # both _resolvent_probe and f_resolvent.  A part of size n_H has
+    # n_s - n_H = 0, where the head's low end sits one ulp below 1.
+    GAPS = TestDenominatorKernel.GAPS
+    HOSTLESS = ((1,), (30,), (1, 30))
+
+    def assert_bits(self, sizes, hosts):
+        e = MultipartiteEmbedding(sizes, hosts)
+        plan = _probe_plan(e)
+        for x in [e.delta + gap for gap in self.GAPS] + [math.inf]:
+            want = hex_ends(interval_probe(plan, x))
+            assert hex_pair(_resolvent_probe(plan, x)) == want, (sizes, hosts, x)
+            ev = f_resolvent(e, x)
+            assert hex_pair((ev.value_lo, ev.value_hi)) == want, (sizes, hosts, x)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_one_hosted_part(self, m):
+        for host in enumerate_m_edge(m).members:
+            for size in (host.n, host.n + 1, 30):
+                for rest in self.HOSTLESS:
+                    self.assert_bits((size, *rest), (host,) + (None,) * len(rest))
+                    self.assert_bits((*rest, size), (None,) * len(rest) + (host,))
+
+    def test_hostless_only(self):
+        for sizes in ((1, 1), (1, 30), (30, 30), (2, 3, 30)):
+            self.assert_bits(sizes, (None,) * len(sizes))
+
+    @pytest.mark.parametrize("hosts", [(None, None), (star(3), None)])
+    def test_nan_x_raises_like_intervals(self, hosts):
+        e = MultipartiteEmbedding((4, 5), hosts)
+        plan = _probe_plan(e)
+        for probe in (interval_probe, _resolvent_probe):
+            with pytest.raises(HypothesisNotMet):
+                probe(plan, math.nan)
+        with pytest.raises(HypothesisNotMet):
+            f_resolvent(e, math.nan)
+
+    def test_non_positive_denominator_raises_like_intervals(self):
+        # n_s - n_H = -5 at x = 1 puts the head, so D_s, at -4.
+        plan = (0.0, ((2.0, None), (-5.0, None)))
+        for probe in (interval_probe, _resolvent_probe):
+            with pytest.raises(ZeroDivisionError):
+                probe(plan, 1.0)
 
 
 class TestSolve:
