@@ -13,6 +13,7 @@ so callers can scan parameter ranges and observe onset thresholds.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -22,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .errors import FormatError, GraphError, SeriesError, SpectralError, indices
-from .graphio import read_graph6, to_graph6, write_graph6
+from .graphio import graph6_lines, graph6_record, to_graph6, write_graph6
 from .graphs import (
     MultipartiteEmbedding,
     canonical_form,
@@ -117,13 +118,6 @@ def _extensions(g):
     return out
 
 
-def _cache_path(cache_dir, name):
-    if cache_dir is None:
-        return None
-    os.makedirs(cache_dir, exist_ok=True)
-    return os.path.join(cache_dir, name)
-
-
 def enumerate_m_edge(m, cache_dir=None):
     """All isomorphism classes with exactly m edges and no isolated vertices.
 
@@ -137,17 +131,21 @@ def enumerate_m_edge(m, cache_dir=None):
     if not 1 <= m <= M_EDGE_LIMIT:
         raise GraphError(f"edge count must be in 1..{M_EDGE_LIMIT}, got {m}")
 
-    path = _cache_path(cache_dir, f"m_edge_{m}.g6")
+    path = None if cache_dir is None else os.path.join(cache_dir, f"m_edge_{m}.g6")
     if path is not None and os.path.exists(path):
+        generated = _GENERATED.get(m)
         try:
-            members = read_graph6(path)
+            records = graph6_lines(path)
+            if generated is not None and [r for _, r in records] == [
+                to_graph6(g) for g in generated
+            ]:
+                # The file holds exactly the classes this process generated:
+                # return those, which carry their canonical forms, without
+                # decoding a record.
+                return EnumerationFamily(f"m-edge:m={m}", list(generated))
+            members = [graph6_record(r, lineno, path) for lineno, r in records]
         except FormatError:
             members = []  # damaged cache; regenerate below
-        generated = _GENERATED.get(m)
-        if generated is not None and tuple(members) == generated:
-            # The file holds exactly the classes this process generated:
-            # return those, which carry their canonical forms.
-            return EnumerationFamily(f"m-edge:m={m}", list(generated))
         if len(members) == M_EDGE_COUNTS[m - 1] and all(
             g.num_edges == m and min(g.degrees) > 0 for g in members
         ):
@@ -157,6 +155,7 @@ def enumerate_m_edge(m, cache_dir=None):
     if path is not None:
         # Write beside the target and rename, so a reader never sees a
         # partly written file.
+        os.makedirs(cache_dir, exist_ok=True)
         tmp = f"{path}.{os.getpid()}.tmp"
         write_graph6(members, tmp)
         os.replace(tmp, path)
@@ -594,7 +593,10 @@ def verify_multi_set(embedding):
     )
 
 
+@functools.cache
 def _expected_tnrk_host(k):
+    """The expected host for k, built once, so its canonical form and
+    encoding are kept on it."""
     return complete(3) if k == 4 else star(k)
 
 

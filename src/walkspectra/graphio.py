@@ -95,15 +95,27 @@ def _g6_size_bytes(n):
 
 
 def to_graph6(g):
-    """Encode a graph as a graph6 string (no header, no newline)."""
+    """Encode a graph as a graph6 string (no header, no newline).
+
+    The string is computed once per graph and kept on it; graphs are
+    immutable, so it cannot go stale.
+    """
+    if g._g6 is None:
+        g._g6 = _encode_graph6(g)
+    return g._g6
+
+
+def _encode_graph6(g):
     n = g.n
     out = bytearray(_g6_size_bytes(n))
-    adj = g.adj
+    # Column j of the upper triangle is row j's first j entries, since the
+    # matrix is symmetric; Python bools read faster than numpy scalars.
+    rows = g.adj.tolist()
     acc = 0
     nbits = 0
     for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | int(adj[i, j])
+        for bit in rows[j][:j]:
+            acc = (acc << 1) | bit
             nbits += 1
             if nbits == 6:
                 out.append(acc + 63)
@@ -192,13 +204,19 @@ def graph6_record(record, line, path):
         raise FormatError(f"bad graph6 record: {exc}", line=line, path=path) from None
 
 
-def read_graph6(path):
-    """Read a file of graph6 lines into a list of graphs."""
+def graph6_lines(path):
+    """The records of a file of graph6 lines, as ``(line number, record)``
+    pairs: its nonblank lines, stripped."""
     return [
-        graph6_record(line, lineno, path)
+        (lineno, line)
         for lineno, raw in enumerate(read_text(path).split("\n"), start=1)
         if (line := raw.strip())
     ]
+
+
+def read_graph6(path):
+    """Read a file of graph6 lines into a list of graphs."""
+    return [graph6_record(record, lineno, path) for lineno, record in graph6_lines(path)]
 
 
 def write_graph6(graphs, path):

@@ -39,7 +39,7 @@ class Graph:
     workloads stay far smaller.
     """
 
-    __slots__ = ("n", "_adj", "_neighbors", "_degrees", "_hash", "_canon")
+    __slots__ = ("n", "_adj", "_neighbors", "_degrees", "_hash", "_canon", "_g6")
 
     def __init__(self, adj):
         adj = np.array(adj, dtype=bool)
@@ -56,6 +56,7 @@ class Graph:
         self._degrees = None
         self._hash = None
         self._canon = None
+        self._g6 = None
 
     @classmethod
     def from_edge_list(cls, n, edges):

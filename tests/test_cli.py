@@ -279,8 +279,8 @@ class TestVerify:
         cold = capsys.readouterr().out
         assert set(os.listdir(cache)) == files
         reads = []
-        real = extremal.read_graph6
-        monkeypatch.setattr(extremal, "read_graph6", lambda path: reads.append(path) or real(path))
+        real = extremal.graph6_lines
+        monkeypatch.setattr(extremal, "graph6_lines", lambda path: reads.append(path) or real(path))
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == cold
         assert {os.path.basename(p) for p in reads} == files
@@ -496,6 +496,15 @@ class TestInputsAndErrors:
         argv = ["enumerate", "--m-edges", "3", "--cache-dir", str(blocker / "cache")]
         assert main(argv) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    def test_cache_dir_naming_a_file(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["enumerate", "--m-edges", "3", "--cache-dir", str(blocker)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(blocker) in err
+        assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("sample", ["0", "-1"])
     def test_sample_positive(self, capsys, sample):

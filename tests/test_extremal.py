@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import os
 import random
 from itertools import combinations
 
@@ -25,7 +26,7 @@ from walkspectra import (
     star,
     to_graph6,
 )
-from walkspectra import extremal, graphs
+from walkspectra import extremal, graphio, graphs
 from walkspectra.extremal import (
     enumerate_embeddings,
     enumerate_m_edge,
@@ -212,8 +213,8 @@ class TestEnumerateMEdge:
         for c in range(1, 6):
             enumerate_m_edge(c, cache_dir=cache)
         reads = []
-        real = extremal.read_graph6
-        monkeypatch.setattr(extremal, "read_graph6", lambda p: reads.append(p) or real(p))
+        real = extremal.graph6_lines
+        monkeypatch.setattr(extremal, "graph6_lines", lambda p: reads.append(p) or real(p))
         for seed in range(20):
             # same draws and the same labelled hosts as without a cache
             rng_cached, rng_plain = random.Random(seed), random.Random(seed)
@@ -223,6 +224,54 @@ class TestEnumerateMEdge:
             assert rng_cached.getstate() == rng_plain.getstate()
             assert reads and len(reads) == len(set(reads))
             reads.clear()
+
+    def test_warm_read_decodes_no_record(self, tmp_path, monkeypatch):
+        # The first call generates the classes and writes them; the second
+        # finds the file equal to their encodings and returns them as is.
+        cache = str(tmp_path)
+        cold = enumerate_m_edge(6, cache_dir=cache).members
+        decoded = []
+        real = graphio.from_graph6
+        monkeypatch.setattr(graphio, "from_graph6", lambda s: decoded.append(s) or real(s))
+        warm = enumerate_m_edge(6, cache_dir=cache).members
+        assert decoded == []
+        assert len(warm) == len(cold) == 68
+        assert all(w is c for w, c in zip(warm, cold))
+
+    @pytest.mark.parametrize("edit", ["reorder", "swap"])
+    def test_other_valid_file_is_decoded(self, tmp_path, edit):
+        # A file that differs from the generated encodings but passes the
+        # checks is decoded, and its graphs are returned in file order.
+        cache = tmp_path / "m_edge_4.g6"
+        generated = enumerate_m_edge(4, cache_dir=str(tmp_path)).members
+        lines = cache.read_text().splitlines()
+        if edit == "reorder":
+            lines = lines[1:] + lines[:1]
+        else:
+            lines[0] = lines[5]  # another valid class, now listed twice
+        text = "".join(line + "\n" for line in lines)
+        cache.write_text(text)
+        fam = enumerate_m_edge(4, cache_dir=str(tmp_path))
+        assert fam.members == [from_graph6(line) for line in lines]
+        assert not any(g is h for g in fam.members for h in generated)
+        assert cache.read_text() == text
+
+    def test_warm_read_creates_no_directory(self, tmp_path, monkeypatch):
+        cache = str(tmp_path / "d")
+        for c in range(1, 6):
+            enumerate_m_edge(c, cache_dir=cache)
+        made = []
+        monkeypatch.setattr(os, "makedirs", lambda *a, **k: made.append(a))
+        enumerate_m_edge(3, cache_dir=cache)
+        for seed in range(5):
+            sample_embedding(random.Random(seed), cache_dir=cache)
+        assert made == []
+
+    def test_cold_write_creates_missing_directory(self, tmp_path):
+        cache = tmp_path / "a" / "b"
+        fam = enumerate_m_edge(3, cache_dir=str(cache))
+        assert os.listdir(cache) == ["m_edge_3.g6"]
+        assert [to_graph6(g) for g in fam] == (cache / "m_edge_3.g6").read_text().split()
 
     def test_warm_cache_computes_no_canonical_form(self, tmp_path, monkeypatch):
         # The first call generates the classes, writes the cache and

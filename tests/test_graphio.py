@@ -16,6 +16,7 @@ from walkspectra import (
     turan,
     write_graph6,
 )
+from walkspectra.extremal import enumerate_m_edge
 
 
 @st.composite
@@ -66,6 +67,71 @@ class TestEdgeList:
     def test_out_of_range(self):
         with pytest.raises(FormatError, match="out of range"):
             parse_edge_list("2 1\n0 5\n")
+
+
+def per_bit_graph6(g):
+    """graph6 read one adjacency entry at a time, as the encoder first did:
+    an oracle for the row-list encoder."""
+    n = g.n
+    if n <= 62:
+        out = bytearray([n + 63])
+    else:
+        out = bytearray([126] + [((n >> s) & 63) + 63 for s in (12, 6, 0)])
+    acc = nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | int(g.adj[i, j])
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc, nbits = 0, 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return out.decode("ascii")
+
+
+def networkx_graph6(g):
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return nx.to_graph6_bytes(h, header=False).decode().strip()
+
+
+class TestGraph6Encoder:
+    def test_m_edge_classes_match_oracles(self):
+        for m in range(1, 8):
+            for g in enumerate_m_edge(m):
+                assert to_graph6(g) == per_bit_graph6(g) == networkx_graph6(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 100])
+    def test_random_graphs_match_oracles(self, rng, n):
+        from conftest import random_graph
+
+        for p in (0.0, 0.1, 0.5, 1.0):
+            g = random_graph(rng, n, p)
+            assert to_graph6(g) == per_bit_graph6(g) == networkx_graph6(g)
+
+    def test_encoding_kept_on_graph(self):
+        g = cycle(7)
+        assert to_graph6(g) is to_graph6(g)
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda g: g.with_edges([(1, 2)]),
+            lambda g: g.add_isolated(2),
+            lambda g: g.relabel([1, 2, 0, 3, 4, 5]),
+        ],
+        ids=["with_edges", "add_isolated", "relabel"],
+    )
+    def test_derived_graph_encoded_afresh(self, derive):
+        g = star(6)
+        code = to_graph6(g)
+        h = derive(g)
+        assert to_graph6(h) == per_bit_graph6(h) != code
+        assert to_graph6(g) is code
 
 
 class TestGraph6:
