@@ -14,13 +14,16 @@ set's entries to sum to x).  The per-part denominator series
 
 drives the spectral-radius equation: summing its reciprocals over all parts
 equals r - 1 exactly at x = rho.  Truncations carry explicit geometric tail
-bounds, so every value returned here is a certified enclosure.
+bounds, so every value returned here is a certified enclosure.  A float x
+is a dyadic a/b, so each truncated sum with its tail is an exact rational,
+rounded once per end (``inner_series`` returns the two as an :class:`Ival`).
 
 The solver sums the denominator series to infinity instead: for x > D it is
 1 + (n_s - n_H)/x + 1^T (xI - A_H)^{-1} 1, a linear solve on the host's few
 vertices.  A float solve is certified by an interval residual and Varah's
 bound ||(xI - A_H)^{-1}||_inf <= 1/(x - D) for the strictly diagonally
-dominant matrix xI - A_H (Varah 1975, Linear Algebra Appl. 11).
+dominant matrix xI - A_H (Varah 1975, Linear Algebra Appl. 11).  Its
+probe rounds float pairs outward per operation, to :class:`Ival`'s bits.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisNotMet, SeriesError
-from .intervals import Ival, powers
+from .intervals import Ival
 from .spectral import SpectralResult
 from .walks import walk_profile, walk_totals
 
@@ -79,6 +82,32 @@ class SeriesEvaluation:
         return self.value_hi - self.value_lo
 
 
+_INF = math.inf
+_NEG_INF = -math.inf
+_next = math.nextafter
+
+
+def _ratio(x):
+    """x as an exact pair (a, b) with x = a/b.  Infinity is (1, 0): then
+    every term w / x^j with j >= 1 has numerator 0, its limit."""
+    return (1, 0) if x == _INF else x.as_integer_ratio()
+
+
+def _add(s, t):
+    """The sum of two exact pairs (num, den)."""
+    return s[0] * t[1] + t[0] * s[1], s[1] * t[1]
+
+
+def _round(num, den, up):
+    """The float next to num/den (den > 0) on one side: the smallest at or
+    above it if ``up``, else the largest at or below it."""
+    f = num / den  # int / int is correctly rounded to nearest
+    p, q = f.as_integer_ratio()
+    if p * den != num * q and (p * den < num * q) == up:
+        f = _next(f, _INF if up else _NEG_INF)
+    return f
+
+
 def entry_series(host, vertex, rho, depth):
     """Certified bracket for the Perron entry of ``vertex``.
 
@@ -96,26 +125,23 @@ def entry_series(host, vertex, rho, depth):
         raise HypothesisNotMet(
             f"entry series needs rho > max host degree ({rho} <= {delta})"
         )
-    prof = walk_profile(host, depth)
-    rho_iv = Ival(rho)
-    pw = powers(rho_iv, depth)
-    acc = Ival(1.0)
-    for i in range(1, depth + 1):
-        w = prof.counts(i)[vertex]
-        if w:  # zero terms are exact; adding them would only widen
-            acc = acc + Ival.from_int(w) / pw[i]
-    w_last = prof.counts(depth)[vertex]
-    if w_last and delta:
-        last = Ival.from_int(w_last) / pw[depth]
-        tail = (Ival(float(delta)) / (rho_iv - float(delta))) * last
-    else:
-        tail = Ival(0.0)
+    if host.degree(vertex):
+        counts = [level[vertex] for level in walk_profile(host, depth).per_vertex]
+    else:  # walks never leave the vertex's component: none start here
+        counts = [0] * depth
+    a, b = _ratio(rho)
+    num, bp = 1, 1
+    for w in counts:  # Horner: num / a^i = sum_{j<=i} w_j / rho^j
+        bp *= b
+        num = num * a + w * bp
+    den = a**depth
+    gap = a - delta * b  # (rho - D) * b
     return EntrySeries(
         vertex=vertex,
         rho=rho,
         depth=depth,
-        lower=acc.lo,
-        upper=(acc + tail).hi,
+        lower=_round(num, den, up=False),
+        upper=_round(num * gap + delta * counts[-1] * bp * b, den * gap, up=True),
     )
 
 
@@ -123,7 +149,8 @@ def tail_bound(host_order, delta, x, depth):
     """Upper bound on the dropped part of sum_{i>depth} W_i / x^{i+1}.
 
     Uses W_i <= |V| * delta^i and geometric summation:
-    |V| * delta^(depth+1) / (x^depth * (x - delta)).  Rounded upward.
+    |V| * delta^(depth+1) / (x^depth * (x - delta)), formed exactly and
+    rounded up once.
     """
     if depth < 1:
         raise SeriesError("depth must be at least 1")
@@ -133,27 +160,46 @@ def tail_bound(host_order, delta, x, depth):
     delta = float(delta)
     if not x > delta:
         raise HypothesisNotMet(f"tail bound needs x > delta ({x} <= {delta})")
-    if delta == 0.0 or host_order == 0:
-        return 0.0
-    num = Ival(float(host_order)) * powers(Ival(delta), depth + 1)[depth + 1]
-    den = powers(Ival(x), depth)[depth] * (Ival(x) - delta)
-    return (num / den).hi
+    return _round(*_tail(host_order, delta, x, depth), up=True)
+
+
+def _tail(host_order, delta, x, depth):
+    """:func:`tail_bound` as an exact pair (num, den)."""
+    a, b = _ratio(x)
+    c, d = _ratio(delta)  # x - delta = (a d - c b) / (b d)
+    return host_order * (c * b) ** (depth + 1), (a * d) ** depth * (a * d - c * b)
 
 
 def _host_tail(host, x, depth):
-    """Tail bound for one host, taking the sharper of two geometric bounds.
+    """Tail bound for one host as an exact pair, the sharper of two
+    geometric bounds.
 
     Both W_i <= |V| * D^i (degree bound) and W_i <= 2 e^i (edge bound, since
     W_1 = 2e and each level multiplies by at most D <= e) are valid; the
     minimum of the two still dominates the tail.
     """
-    if host is None or host.num_edges == 0:
-        return 0.0
-    bound = tail_bound(host.n, host.max_degree(), x, depth)
+    if depth < 1:
+        raise SeriesError("depth must be at least 1")
+    bound = _tail(host.n, host.max_degree(), x, depth)
     e = host.num_edges
     if x > e:
-        bound = min(bound, tail_bound(2, e, x, depth))
+        edge = _tail(2, e, x, depth)
+        if edge[0] * bound[1] < bound[0] * edge[1]:
+            bound = edge
     return bound
+
+
+def _inner(host, x, depth):
+    """sum_{i=1..depth} W_i(host) / x^{i+1} and the host's tail bound, as
+    exact pairs (num, den)."""
+    if host is None or host.num_edges == 0:
+        return (0, 1), (0, 1)
+    a, b = _ratio(x)
+    num, bp = 0, b
+    for w in walk_totals(host, depth):  # Horner, as in entry_series
+        bp *= b
+        num = num * a + w * bp
+    return (num, a ** (depth + 1)), _host_tail(host, x, depth)
 
 
 def inner_series(host, x, depth):
@@ -169,13 +215,8 @@ def inner_series(host, x, depth):
         raise HypothesisNotMet(
             f"inner series needs x > max host degree ({x} <= {host.max_degree()})"
         )
-    totals = walk_totals(host, depth)
-    pw = powers(Ival(x), depth + 1)
-    acc = Ival(0.0)
-    for i in range(1, depth + 1):
-        acc = acc + Ival.from_int(totals[i - 1]) / pw[i + 1]
-    tail = _host_tail(host, x, depth)
-    return Ival(acc.lo, (acc + tail).hi)
+    (sn, sd), (tn, td) = _inner(host, x, depth)
+    return Ival(_round(sn, sd, up=False), _round(sn * td + tn * sd, sd * td, up=True))
 
 
 def f_eval(embedding, x, depth):
@@ -184,7 +225,8 @@ def f_eval(embedding, x, depth):
     f(x) sums, over the parts, the reciprocals of
     1 + n_s/x + sum_i W_i(H_s)/x^{i+1}; it is strictly increasing for
     x above the max host degree and equals r - 1 exactly at the spectral
-    radius of the realized graph.
+    radius of the realized graph.  Each end is one exact rational over
+    all parts, rounded once, and so is the reported sum of tail bounds.
     """
     if depth < 1:
         raise SeriesError("depth must be at least 1")
@@ -193,27 +235,22 @@ def f_eval(embedding, x, depth):
         raise HypothesisNotMet(
             f"series evaluation needs x > max host degree ({x} <= {embedding.delta})"
         )
-    x_iv = Ival(x)
-    total = Ival(0.0)
-    tails = 0.0
+    a, b = _ratio(x)
+    lo = hi = tails = (0, 1)
     for size, host in zip(embedding.part_sizes, embedding.hosts):
-        denom = Ival(1.0) + Ival(float(size)) / x_iv
-        inner = inner_series(host, x, depth)
-        tails += _host_tail(host, x, depth)
-        denom = denom + inner
-        total = total + Ival(1.0) / denom
+        (sn, sd), (tn, td) = _inner(host, x, depth)
+        # 1 + size/x + sn/sd = p/q: the part's denominator without its tail
+        p, q = (a + size * b) * sd + sn * a, a * sd
+        lo = _add(lo, (q * td, p * td + tn * q))
+        hi = _add(hi, (q, p))
+        tails = _add(tails, (tn, td))
     return SeriesEvaluation(
         x=x,
         depth=depth,
-        value_lo=total.lo,
-        value_hi=total.hi,
-        tail_bound=tails,
+        value_lo=_round(*lo, up=False),
+        value_hi=_round(*hi, up=True),
+        tail_bound=_round(*tails, up=True),
     )
-
-
-_INF = math.inf
-_NEG_INF = -math.inf
-_next = math.nextafter
 
 
 def _probe_plan(embedding):

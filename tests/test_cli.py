@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -325,6 +327,15 @@ class TestParser:
 
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+    def test_import_loads_no_fractions(self):
+        # fractions pulls in decimal, a few ms of every command's start-up;
+        # the exact series work on int pairs instead.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = "import sys, walkspectra.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout == "[]\n"
 
     @pytest.mark.parametrize(
         "argv, out",

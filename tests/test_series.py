@@ -16,6 +16,7 @@ from walkspectra import (
     HypothesisNotMet,
     MultipartiteEmbedding,
     complete,
+    cycle,
     empty,
     entry_series,
     f_eval,
@@ -188,6 +189,140 @@ class TestFEval:
             f_eval(e, 2.0, 8)
 
 
+def exact_tail(host, x, depth):
+    """The host's tail bound as an exact Fraction: the smaller of
+    |V| D^(L+1) / (x^L (x - D)) and, when x exceeds the edge count e,
+    2 e^(L+1) / (x^L (x - e))."""
+    x = Fraction(x)
+
+    def geometric(order, d):
+        return order * Fraction(d) ** (depth + 1) / (x**depth * (x - d))
+
+    e = host.num_edges
+    bound = geometric(host.n, host.max_degree())
+    return min(bound, geometric(2, e)) if x > e else bound
+
+
+def exact_entry(host, u, x, depth):
+    """sum_{i=0..depth} w_i(u) / x^i, with w_i(u) = (A^i 1)_u from exact
+    integer matrix-vector products, and the last count w_depth(u)."""
+    a = [[int(v) for v in row] for row in host.adj]
+    vec, total = [1] * host.n, Fraction(1)
+    for i in range(1, depth + 1):
+        vec = [sum(aij * vj for aij, vj in zip(row, vec)) for row in a]
+        total += Fraction(vec[u]) / Fraction(x) ** i
+    return total, vec[u]
+
+
+def assert_rounded_up(hi, exact):
+    """hi is the smallest float at or above exact."""
+    assert Fraction(math.nextafter(hi, -math.inf)) < exact <= Fraction(hi)
+
+
+def assert_rounded_once(lo, hi, exact_lo, exact_hi):
+    """lo is the largest float at or below exact_lo, and hi the smallest
+    float at or above exact_hi."""
+    assert Fraction(lo) <= exact_lo < Fraction(math.nextafter(lo, math.inf))
+    assert_rounded_up(hi, exact_hi)
+
+
+class TestTruncatedRounding:
+    """The truncated series are exact rationals, rounded once per end."""
+
+    @staticmethod
+    def cases(rng, count):
+        for i in range(count):
+            e = sample_embedding(rng)
+            gap = 1e-6 if i % 4 == 0 else 0.25 + 4 * rng.random()
+            yield e, e.delta + gap, rng.randint(1, 64)
+
+    def test_inner_series(self, rng):
+        for e, x, depth in self.cases(rng, 40):
+            for host in e.hosts:
+                if host is None or host.num_edges == 0:
+                    continue
+                iv = inner_series(host, x, depth)
+                body = Fraction(*exact_inner_fraction(host, x, depth))
+                assert_rounded_once(iv.lo, iv.hi, body, body + exact_tail(host, x, depth))
+
+    def test_entry_series(self, rng):
+        for e, x, depth in self.cases(rng, 15):
+            for host in e.hosts:
+                if host is None:
+                    continue
+                d = host.max_degree()
+                for u in range(host.n):
+                    es = entry_series(host, u, x, depth)
+                    body, last = exact_entry(host, u, x, depth)
+                    tail = Fraction(d) / (Fraction(x) - d) * last / Fraction(x) ** depth
+                    assert_rounded_once(es.lower, es.upper, body, body + tail)
+
+    def test_f_eval_and_its_tail_bound(self, rng):
+        for e, x, depth in self.cases(rng, 40):
+            ev = f_eval(e, x, depth)
+            lo = hi = tails = Fraction(0)
+            for size, host in zip(e.part_sizes, e.hosts):
+                head = 1 + Fraction(size) / Fraction(x)
+                if host is not None and host.num_edges:
+                    head += Fraction(*exact_inner_fraction(host, x, depth))
+                    tail = exact_tail(host, x, depth)
+                else:
+                    tail = Fraction(0)
+                lo += 1 / (head + tail)
+                hi += 1 / head
+                tails += tail
+            assert_rounded_once(ev.value_lo, ev.value_hi, lo, hi)
+            assert_rounded_up(ev.tail_bound, tails)
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_tail_reaches_the_infinite_sum(self, rng, depth):
+        # Near the max degree a truncation at depth 2-4 falls far short of
+        # the infinite sum: only the tail term lifts the upper end over it.
+        for _ in range(20):
+            e = sample_embedding(rng)
+            x = e.delta + 0.5 * rng.random() + 1e-3
+            assert exact_part_sum(e, x) >= Fraction(f_eval(e, x, depth).value_lo)
+            for host in e.hosts:
+                if host is not None and host.num_edges:
+                    infinite = exact_denominator(0, host, x) - 1
+                    assert infinite <= Fraction(inner_series(host, x, depth).hi)
+        # In a d-regular host every entry series is sum (d/x)^i = x/(x - d);
+        # an added isolated vertex has entry exactly 1.
+        for host in (complete(2), complete(3), complete(4), cycle(5).add_isolated(2)):
+            d = host.max_degree()
+            for x in (d + 1e-3, d + 0.5):
+                for u in range(host.n):
+                    limit = Fraction(x) / (Fraction(x) - d) if host.degree(u) else 1
+                    assert limit <= Fraction(entry_series(host, u, x, depth).upper)
+
+    @pytest.mark.parametrize("x", [math.inf, 1e308])
+    def test_huge_x_encloses_the_limit(self, x):
+        # As x grows every series tends to its leading 1 (or 0): entries
+        # to 1, inner sums to 0 and f to the number of parts.
+        host = complete(3)
+        e = MultipartiteEmbedding((2, 4), (complete(2), host))
+        iv = inner_series(host, x, 16)
+        assert iv.lo <= 0.0 <= iv.hi <= 5e-324
+        es = entry_series(host, 0, x, 16)
+        assert es.lower <= 1.0 <= es.upper <= math.nextafter(1.0, 2.0)
+        ev = f_eval(e, x, 16)
+        assert ev.value_lo <= 2.0 <= ev.value_hi and ev.width <= 4.5e-16
+        assert 0.0 <= tail_bound(3, 2, x, 16) <= 5e-324
+        assert 0.0 <= ev.tail_bound <= 5e-324
+
+    def test_nan_x_raises(self):
+        host = complete(3)
+        e = MultipartiteEmbedding((2, 4), (None, host))
+        for call in (
+            lambda: inner_series(host, math.nan, 8),
+            lambda: entry_series(host, 0, math.nan, 8),
+            lambda: f_eval(e, math.nan, 8),
+            lambda: tail_bound(3, 2, math.nan, 8),
+        ):
+            with pytest.raises(HypothesisNotMet):
+                call()
+
+
 class TestFResolvent:
     def test_encloses_exact_infinite_sum(self, rng):
         for i in range(60):
@@ -222,7 +357,7 @@ class TestFResolvent:
             deep = f_eval(e, x, 64)
             assert closed.value_lo <= deep.value_hi
             assert deep.value_lo <= closed.value_hi
-            assert closed.width <= deep.width
+            assert Fraction(deep.value_lo) <= exact_part_sum(e, x) <= Fraction(deep.value_hi)
 
     def test_requires_x_above_delta(self):
         e = MultipartiteEmbedding((1, 3), (None, complete(3)))
