@@ -134,18 +134,19 @@ def enumerate_m_edge(m, cache_dir=None):
     path = None if cache_dir is None else os.path.join(cache_dir, f"m_edge_{m}.g6")
     if path is not None and os.path.exists(path):
         generated = _GENERATED.get(m)
+        # A damaged file, or one that differs from the classes this process
+        # generated, is rewritten below.
+        members = []
         try:
             records = graph6_lines(path)
-            if generated is not None and [r for _, r in records] == [
-                to_graph6(g) for g in generated
-            ]:
-                # The file holds exactly the classes this process generated:
-                # return those, which carry their canonical forms, without
-                # decoding a record.
+            if generated is None:
+                members = [graph6_record(r, lineno, path) for lineno, r in records]
+            elif [r for _, r in records] == [to_graph6(g) for g in generated]:
+                # The file holds exactly the generated classes: return those,
+                # which carry their canonical forms, without decoding a record.
                 return EnumerationFamily(f"m-edge:m={m}", list(generated))
-            members = [graph6_record(r, lineno, path) for lineno, r in records]
         except FormatError:
-            members = []  # damaged cache; regenerate below
+            pass
         if len(members) == M_EDGE_COUNTS[m - 1] and all(
             g.num_edges == m and min(g.degrees) > 0 for g in members
         ):

@@ -13,10 +13,13 @@ set's entries to sum to x).  The per-part denominator series
     1 + n_s/x + sum_{i>=1} W_i(H_s) / x^{i+1}
 
 drives the spectral-radius equation: summing its reciprocals over all parts
-equals r - 1 exactly at x = rho.  Truncations carry explicit geometric tail
-bounds, so every value returned here is a certified enclosure.  A float x
-is a dyadic a/b, so each truncated sum with its tail is an exact rational,
-rounded once per end (``inner_series`` returns the two as an :class:`Ival`).
+equals r - 1 exactly at x = rho.  Every truncation, lead + sum_{j<=J}
+c_j / x^j, is bounded by one tail rule: walk counts grow by at most a
+factor D per level (W_{i+1} = sum_v d(v) w_i(v) <= D W_i), so the dropped
+terms sum to at most c_J D / (x^J (x - D)).  ``tail_bound`` is the same
+rule with W_L <= |V| D^L.  A float x is a dyadic a/b, so each truncated
+sum with its tail is an exact rational, rounded once per end
+(``inner_series`` returns the two as an :class:`Ival`).
 
 The solver sums the denominator series to infinity instead: for x > D it is
 1 + (n_s - n_H)/x + 1^T (xI - A_H)^{-1} 1, a linear solve on the host's few
@@ -108,115 +111,86 @@ def _round(num, den, up):
     return f
 
 
+def _checked(x, delta, depth, what):
+    """float(x), once depth is at least 1 and x exceeds the max host degree
+    delta (a nan x does not)."""
+    if depth < 1:
+        raise SeriesError("depth must be at least 1")
+    x = float(x)
+    if not x > delta:
+        raise HypothesisNotMet(f"{what} needs x > max host degree ({x} <= {delta})")
+    return x
+
+
+def _truncated(lead, counts, x, delta):
+    """lead + sum_{j=1..J} c_j / x^j for counts (c_1, ..., c_J), and that
+    sum plus its tail bound c_J * delta / (x^J (x - delta)), as exact pairs
+    (num, den).
+
+    The tail is geometric: it dominates sum_{j>J} c_j / x^j whenever each
+    dropped count is at most delta times the one before, as walk counts
+    are in a host of max degree delta (W_{i+1} = sum_v d(v) w_i(v) <=
+    delta W_i), and x > delta.
+    """
+    a, b = _ratio(x)
+    c, d = _ratio(delta)
+    num, bp = lead, 1
+    for w in counts:  # Horner: num / a^j = lead + sum_{i<=j} c_i / x^i
+        bp *= b
+        num = num * a + w * bp
+    den = a ** len(counts)
+    gap = a * d - c * b  # (x - delta) * b * d
+    return (num, den), (num * gap + counts[-1] * c * bp * b, den * gap)
+
+
 def entry_series(host, vertex, rho, depth):
     """Certified bracket for the Perron entry of ``vertex``.
 
-    Valid whenever rho exceeds the host's max degree: the truncated sum is a
-    lower bound, and adding D/(rho - D) times the last term dominates the
-    tail because per-vertex counts grow at most by a factor D per level.
+    Valid whenever rho exceeds the host's max degree D: the truncated sum
+    1 + sum_{i<=depth} w_i(u) / rho^i is the lower end, and the upper end
+    adds :func:`_truncated`'s tail, w_depth(u) D / (rho^depth (rho - D)).
     """
-    if depth < 1:
-        raise SeriesError("depth must be at least 1")
     if not 0 <= vertex < host.n:
         raise SeriesError(f"vertex {vertex} not in host of order {host.n}")
     delta = host.max_degree()
-    rho = float(rho)
-    if not rho > delta:
-        raise HypothesisNotMet(
-            f"entry series needs rho > max host degree ({rho} <= {delta})"
-        )
+    rho = _checked(rho, delta, depth, "entry series")
     if host.degree(vertex):
         counts = [level[vertex] for level in walk_profile(host, depth).per_vertex]
     else:  # walks never leave the vertex's component: none start here
         counts = [0] * depth
-    a, b = _ratio(rho)
-    num, bp = 1, 1
-    for w in counts:  # Horner: num / a^i = sum_{j<=i} w_j / rho^j
-        bp *= b
-        num = num * a + w * bp
-    den = a**depth
-    gap = a - delta * b  # (rho - D) * b
-    return EntrySeries(
-        vertex=vertex,
-        rho=rho,
-        depth=depth,
-        lower=_round(num, den, up=False),
-        upper=_round(num * gap + delta * counts[-1] * bp * b, den * gap, up=True),
-    )
+    lo, hi = _truncated(1, counts, rho, delta)
+    return EntrySeries(vertex, rho, depth, _round(*lo, up=False), _round(*hi, up=True))
 
 
 def tail_bound(host_order, delta, x, depth):
-    """Upper bound on the dropped part of sum_{i>depth} W_i / x^{i+1}.
+    """Upper bound on the dropped part sum_{i>depth} W_i / x^{i+1} of a
+    host's inner series, knowing only its order |V| and max degree delta.
 
-    Uses W_i <= |V| * delta^i and geometric summation:
-    |V| * delta^(depth+1) / (x^depth * (x - delta)), formed exactly and
+    :func:`_truncated`'s tail with W_depth <= |V| * delta^depth:
+    |V| * delta^(depth+1) / (x^(depth+1) * (x - delta)), formed exactly and
     rounded up once.
     """
-    if depth < 1:
-        raise SeriesError("depth must be at least 1")
     if host_order < 0:
         raise SeriesError("host order must be nonnegative")
-    x = float(x)
     delta = float(delta)
-    if not x > delta:
-        raise HypothesisNotMet(f"tail bound needs x > delta ({x} <= {delta})")
-    return _round(*_tail(host_order, delta, x, depth), up=True)
-
-
-def _tail(host_order, delta, x, depth):
-    """:func:`tail_bound` as an exact pair (num, den)."""
-    a, b = _ratio(x)
-    c, d = _ratio(delta)  # x - delta = (a d - c b) / (b d)
-    return host_order * (c * b) ** (depth + 1), (a * d) ** depth * (a * d - c * b)
-
-
-def _host_tail(host, x, depth):
-    """Tail bound for one host as an exact pair, the sharper of two
-    geometric bounds.
-
-    Both W_i <= |V| * D^i (degree bound) and W_i <= 2 e^i (edge bound, since
-    W_1 = 2e and each level multiplies by at most D <= e) are valid; the
-    minimum of the two still dominates the tail.
-    """
-    if depth < 1:
-        raise SeriesError("depth must be at least 1")
-    bound = _tail(host.n, host.max_degree(), x, depth)
-    e = host.num_edges
-    if x > e:
-        edge = _tail(2, e, x, depth)
-        if edge[0] * bound[1] < bound[0] * edge[1]:
-            bound = edge
-    return bound
-
-
-def _inner(host, x, depth):
-    """sum_{i=1..depth} W_i(host) / x^{i+1} and the host's tail bound, as
-    exact pairs (num, den)."""
-    if host is None or host.num_edges == 0:
-        return (0, 1), (0, 1)
-    a, b = _ratio(x)
-    num, bp = 0, b
-    for w in walk_totals(host, depth):  # Horner, as in entry_series
-        bp *= b
-        num = num * a + w * bp
-    return (num, a ** (depth + 1)), _host_tail(host, x, depth)
+    x = _checked(x, delta, depth, "tail bound")
+    c, d = _ratio(delta)  # |V| * delta^depth = |V| c^depth / d^depth
+    (sn, sd), (tn, td) = _truncated(0, [0] * depth + [host_order * c**depth], x, delta)
+    return _round(tn * sd - sn * td, td * sd * d**depth, up=True)
 
 
 def inner_series(host, x, depth):
-    """Certified enclosure of sum_{i>=1} W_i(host) / x^{i+1}.
+    """Certified enclosure of sum_{i>=1} W_i(host) / x^{i+1}: the sum to
+    ``depth`` and that sum plus :func:`_truncated`'s tail,
+    W_depth D / (x^{depth+1} (x - D)).
 
-    An empty host has every total zero, so its series is exactly 0 with no
-    truncation error.
+    An empty host has every total zero, so its series is exactly 0.
     """
-    if host is None or host.num_edges == 0:
-        return Ival(0.0)
-    x = float(x)
-    if not x > host.max_degree():
-        raise HypothesisNotMet(
-            f"inner series needs x > max host degree ({x} <= {host.max_degree()})"
-        )
-    (sn, sd), (tn, td) = _inner(host, x, depth)
-    return Ival(_round(sn, sd, up=False), _round(sn * td + tn * sd, sd * td, up=True))
+    delta = 0 if host is None else host.max_degree()
+    x = _checked(x, delta, depth, "inner series")
+    totals = [0] * depth if host is None else walk_totals(host, depth)
+    lo, hi = _truncated(0, [0] + totals, x, delta)
+    return Ival(_round(*lo, up=False), _round(*hi, up=True))
 
 
 def f_eval(embedding, x, depth):
@@ -225,31 +199,22 @@ def f_eval(embedding, x, depth):
     f(x) sums, over the parts, the reciprocals of
     1 + n_s/x + sum_i W_i(H_s)/x^{i+1}; it is strictly increasing for
     x above the max host degree and equals r - 1 exactly at the spectral
-    radius of the realized graph.  Each end is one exact rational over
-    all parts, rounded once, and so is the reported sum of tail bounds.
+    radius of the realized graph.  Each part's denominator is truncated
+    with the tail of its own host's max degree (see :func:`_truncated`).
+    Each end is one exact rational over all parts, rounded once, and so
+    is the reported sum of tail bounds.
     """
-    if depth < 1:
-        raise SeriesError("depth must be at least 1")
-    x = float(x)
-    if not x > embedding.delta:
-        raise HypothesisNotMet(
-            f"series evaluation needs x > max host degree ({x} <= {embedding.delta})"
-        )
-    a, b = _ratio(x)
+    x = _checked(x, embedding.delta, depth, "series evaluation")
     lo = hi = tails = (0, 1)
     for size, host in zip(embedding.part_sizes, embedding.hosts):
-        (sn, sd), (tn, td) = _inner(host, x, depth)
-        # 1 + size/x + sn/sd = p/q: the part's denominator without its tail
-        p, q = (a + size * b) * sd + sn * a, a * sd
-        lo = _add(lo, (q * td, p * td + tn * q))
-        hi = _add(hi, (q, p))
-        tails = _add(tails, (tn, td))
+        delta = 0 if host is None else host.max_degree()
+        totals = [0] * depth if host is None else walk_totals(host, depth)
+        (sn, sd), (tn, td) = _truncated(1, [size] + totals, x, delta)
+        lo = _add(lo, (td, tn))
+        hi = _add(hi, (sd, sn))
+        tails = _add(tails, (tn * sd - sn * td, td * sd))
     return SeriesEvaluation(
-        x=x,
-        depth=depth,
-        value_lo=_round(*lo, up=False),
-        value_hi=_round(*hi, up=True),
-        tail_bound=_round(*tails, up=True),
+        x, depth, _round(*lo, up=False), _round(*hi, up=True), _round(*tails, up=True)
     )
 
 

@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    exact_denominator,
     exact_inner_fraction,
     frac_geq,
     frac_leq,
@@ -279,13 +280,16 @@ def test_criterion_10_certified_interval_soundness():
             x = host.max_degree() + 0.25 + 6 * rng.random()
             depth = rng.randint(2, 24)
             iv = inner_series(host, x, depth)
-            num, den = exact_inner_fraction(host, x, depth + 40)
-            if not (frac_geq(num, den, iv.lo) and frac_leq(num, den, iv.hi)):
-                sound = False
+            deeper = exact_inner_fraction(host, x, depth + 40)
+            infinite = (exact_denominator(0, host, x) - 1).as_integer_ratio()
+            for num, den in (deeper, infinite):
+                if not (frac_geq(num, den, iv.lo) and frac_leq(num, den, iv.hi)):
+                    sound = False
             probes += 1
     elapsed = time.perf_counter() - t0
     announce(
         10,
         sound and elapsed < 30.0,
-        f"{probes} probes at depth L checked against exact depth L+40, {elapsed:.1f}s",
+        f"{probes} probes at depth L checked against exact depth L+40 and the "
+        f"exact infinite sum, {elapsed:.1f}s",
     )

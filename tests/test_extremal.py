@@ -238,22 +238,53 @@ class TestEnumerateMEdge:
         assert len(warm) == len(cold) == 68
         assert all(w is c for w, c in zip(warm, cold))
 
-    @pytest.mark.parametrize("edit", ["reorder", "swap"])
-    def test_other_valid_file_is_decoded(self, tmp_path, edit):
-        # A file that differs from the generated encodings but passes the
-        # checks is decoded, and its graphs are returned in file order.
+    @staticmethod
+    def edited_cache(tmp_path, edit):
+        """Generate and write the 4-edge classes, then edit the file so that
+        it differs from their encodings but passes the checks."""
         cache = tmp_path / "m_edge_4.g6"
         generated = enumerate_m_edge(4, cache_dir=str(tmp_path)).members
-        lines = cache.read_text().splitlines()
+        text = cache.read_text()
+        lines = text.splitlines()
         if edit == "reorder":
             lines = lines[1:] + lines[:1]
         else:
             lines[0] = lines[5]  # another valid class, now listed twice
-        text = "".join(line + "\n" for line in lines)
-        cache.write_text(text)
+        cache.write_text("".join(line + "\n" for line in lines))
+        return cache, generated, text, lines
+
+    @pytest.mark.parametrize("edit", ["reorder", "swap"])
+    def test_other_valid_file_is_decoded(self, tmp_path, monkeypatch, edit):
+        # A process that has not generated the classes decodes such a file
+        # and returns its graphs in file order.
+        cache, generated, _, lines = self.edited_cache(tmp_path, edit)
+        edited = cache.read_text()
+        monkeypatch.setattr(extremal, "_GENERATED", {})
         fam = enumerate_m_edge(4, cache_dir=str(tmp_path))
         assert fam.members == [from_graph6(line) for line in lines]
         assert not any(g is h for g in fam.members for h in generated)
+        assert cache.read_text() == edited
+
+    @pytest.mark.parametrize("edit", ["reorder", "swap"])
+    def test_other_valid_file_is_rewritten(self, tmp_path, edit):
+        # The process that generated the classes returns them, not the
+        # file's family, and rewrites the file.
+        cache, generated, text, _ = self.edited_cache(tmp_path, edit)
+        fam = enumerate_m_edge(4, cache_dir=str(tmp_path))
+        assert all(g is h for g, h in zip(fam.members, generated, strict=True))
+        assert cache.read_text() == text
+
+    def test_substituted_star_does_not_flip_a_verdict(self, tmp_path):
+        # The star K_{1,4} replaced by a copy of another class: a file of
+        # the right length and kind, but the wrong family.
+        enumerate_m_edge(4, cache_dir=str(tmp_path))
+        cache = tmp_path / "m_edge_4.g6"
+        text = cache.read_text()
+        lines = text.splitlines()
+        i = next(i for i, line in enumerate(lines) if from_graph6(line).max_degree() == 4)
+        lines[i] = lines[i - 1]
+        cache.write_text("".join(line + "\n" for line in lines))
+        assert verify_corollary_2inf(4, cache_dir=str(tmp_path)).verdict == "pass"
         assert cache.read_text() == text
 
     def test_warm_read_creates_no_directory(self, tmp_path, monkeypatch):

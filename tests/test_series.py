@@ -15,6 +15,7 @@ from conftest import (
 from walkspectra import (
     HypothesisNotMet,
     MultipartiteEmbedding,
+    SeriesError,
     complete,
     cycle,
     empty,
@@ -88,9 +89,13 @@ class TestTailBound:
         assert tail_bound(4, 0, 3.0, 7) == 0.0
 
     def test_worked_value(self):
-        got = tail_bound(3, 2, 4.0, 2)
-        assert got == pytest.approx(0.75, rel=1e-12)
-        assert got >= 0.75  # upper rounding
+        # the triangle's bound sum_{i>=3} 3 * 2^i / 4^(i+1), exactly
+        assert tail_bound(3, 2, 4.0, 2) == 0.1875
+
+    def test_dominates_geometric_sum_below_one(self):
+        # sum_{i>=2} 0.5^i / 0.75^(i+1) = 16/9: with x < 1 the bound must
+        # still reach it, not fall short by a factor x
+        assert Fraction(tail_bound(1, 0.5, 0.75, 1)) >= Fraction(16, 9)
 
     def test_dominates_exact_tail(self):
         # host = triangle: W_i = 3 * 2^i exactly; tail from i = 3 at x = 4
@@ -118,6 +123,12 @@ class TestInnerSeries:
         assert iv.lo == iv.hi == 0.0
         iv = inner_series(empty(3), 5.0, 9)
         assert iv.lo == iv.hi == 0.0
+
+    def test_empty_host_still_checks_x_and_depth(self):
+        with pytest.raises(HypothesisNotMet):
+            inner_series(empty(3), math.nan, 8)
+        with pytest.raises(SeriesError):
+            inner_series(None, -5.0, 0)
 
     def test_encloses_exact_truncation(self, rng):
         # deeper exact partial sums must stay inside shallower enclosures
@@ -190,17 +201,14 @@ class TestFEval:
 
 
 def exact_tail(host, x, depth):
-    """The host's tail bound as an exact Fraction: the smaller of
-    |V| D^(L+1) / (x^L (x - D)) and, when x exceeds the edge count e,
-    2 e^(L+1) / (x^L (x - e))."""
-    x = Fraction(x)
-
-    def geometric(order, d):
-        return order * Fraction(d) ** (depth + 1) / (x**depth * (x - d))
-
-    e = host.num_edges
-    bound = geometric(host.n, host.max_degree())
-    return min(bound, geometric(2, e)) if x > e else bound
+    """The host's tail bound as an exact Fraction: W_L D / (x^(L+1) (x - D)),
+    with W_L = 1^T A^L 1 from exact integer matrix-vector products."""
+    a = [[int(v) for v in row] for row in host.adj]
+    vec = [1] * host.n
+    for _ in range(depth):
+        vec = [sum(aij * vj for aij, vj in zip(row, vec)) for row in a]
+    x, d = Fraction(x), host.max_degree()
+    return sum(vec) * d / (x ** (depth + 1) * (x - d))
 
 
 def exact_entry(host, u, x, depth):
