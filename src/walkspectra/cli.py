@@ -48,7 +48,7 @@ from .graphs import (
     turan,
 )
 from .series import solve_rho_series
-from .spectral import perron_normalized, rho_dense, rho_power
+from .spectral import ORDER_LIMIT, perron_normalized, rho_dense, rho_power
 from .walks import ex_filter, ex_infinity, walk_compare, walk_profile
 
 EXIT_OK = 0
@@ -73,7 +73,8 @@ _FAMILY_BUILDERS = {
 
 
 def family_graph(spec):
-    """Build a named family from 'name:arg1,arg2,...'."""
+    """Build a named family from 'name:arg1,arg2,...' of order at most
+    ``ORDER_LIMIT``, refused before anything is allocated."""
     name, sep, argstr = spec.partition(":")
     if not sep or name not in _FAMILY_BUILDERS:
         known = ", ".join(sorted(_FAMILY_BUILDERS))
@@ -87,6 +88,9 @@ def family_graph(spec):
         raise FormatError(f"family {name} takes {arity} argument(s), got {len(args)}")
     if arity is None and not args:
         raise FormatError(f"family {name} needs at least one part size")
+    order = sum(args) if arity is None else args[0]
+    if order > ORDER_LIMIT:
+        raise FormatError(f"family {spec!r}: order {order} is above the limit {ORDER_LIMIT}")
     return build(args)
 
 

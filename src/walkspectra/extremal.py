@@ -486,6 +486,11 @@ def verify_one_set(s_size, t_size, host1, host2, n_range):
     at n is known only when the two certified brackets are disjoint, so an
     overlap, as at a tie, never matches an order; an EQUAL certificate
     fails at any n whose brackets are disjoint.
+
+    Each host's quotient is built once and updated per n
+    (:func:`_one_set_radius`), so radii, brackets and diffs keep every bit
+    of a fresh embedding at each n (``TestOneSetQuotient``,
+    ``TestPowerKernel``).
     """
     if s_size < 1:
         raise GraphError("clique side must have at least one vertex")
@@ -503,13 +508,12 @@ def verify_one_set(s_size, t_size, host1, host2, n_range):
             f"n must be at least s_size + t_size = {s_size + t_size}"
         )
 
-    def radius(host, n):
-        parts = (1,) * s_size + (n - s_size,)
-        return _radius(MultipartiteEmbedding(parts, (None,) * s_size + (host,)))
-
+    kept = {}
     diffs, signs = [], []
     for n in ns:
-        (res1, (lo1, hi1)), (res2, (lo2, hi2)) = radius(h1, n), radius(h2, n)
+        (res1, (lo1, hi1)), (res2, (lo2, hi2)) = (
+            _one_set_radius(s_size, h, n, kept) for h in (h1, h2)
+        )
         diffs.append((n, res1.rho - res2.rho))
         signs.append(1 if lo1 > hi2 else -1 if hi1 < lo2 else 0)
 
@@ -546,6 +550,30 @@ def verify_one_set(s_size, t_size, host1, host2, n_range):
             "diffs": tuple(diffs),
         },
     )
+
+
+def _one_set_radius(s_size, host, n, kept):
+    """:func:`_radius` of the one-set embedding of ``host`` at order n.
+
+    ``kept`` maps a host to the :func:`_blocks` its first call with a twin
+    class (n > s_size + host.n) built; later calls rewrite the entries that
+    depend on n: the twin class's size, B column and root, and q's clique
+    row and column, sqrt(n - s_size - host.n) as np.sqrt(np.outer(sizes,
+    sizes)) gives it (the other factor is 1.0).  With no twin class the
+    blocks are built for that n alone.
+    """
+    m = n - s_size - host.n
+    blocks = kept.get(host) if m else None
+    if blocks is None:
+        parts = (1,) * s_size + (n - s_size,)
+        blocks = _blocks(MultipartiteEmbedding(parts, (None,) * s_size + (host,)))
+        if m:
+            kept[host] = blocks
+    else:
+        q, sizes, ((b, root, _),) = blocks
+        sizes[-1] = b[:s_size, -1] = m
+        root[-1] = q[:s_size, -1] = q[-1, :s_size] = math.sqrt(m)
+    return _blocks_radius(blocks)
 
 
 def verify_multi_set(embedding):

@@ -2,7 +2,8 @@
 
 Edge-list format: first line ``n m``, then m lines ``u v`` with 0-based
 vertex indices, each edge on one line only.  Blank lines and ``#`` comments
-are tolerated.
+are tolerated.  A header declaring more than ``spectral.ORDER_LIMIT``
+vertices is refused before the graph is allocated.
 
 graph6: standard bit-packed encoding, 6 bits per byte at offset 63, upper
 triangle in column-major order.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from .errors import FormatError
 from .graphs import Graph
+from .spectral import ORDER_LIMIT
 
 __all__ = [
     "parse_edge_list",
@@ -45,6 +47,8 @@ def parse_edge_list(text):
         raise FormatError(f"non-integer header {header!r}", line=lineno) from None
     if n < 0 or m < 0:
         raise FormatError("n and m must be nonnegative", line=lineno)
+    if n > ORDER_LIMIT:
+        raise FormatError(f"order {n} is above the limit {ORDER_LIMIT}", line=lineno)
     if len(rows) - 1 != m:
         raise FormatError(
             f"header declares {m} edges but {len(rows) - 1} edge lines found",

@@ -32,9 +32,14 @@ __all__ = [
     "collatz_wielandt",
     "perron_normalized",
     "DENSE_LIMIT",
+    "ORDER_LIMIT",
 ]
 
 DENSE_LIMIT = 64
+# The largest order an edge-list header or a family spec may declare: a
+# graph is held as a dense adjacency matrix, n^2 bytes of bools and 8 n^2
+# of floats for a power iteration, so 100 MB and 800 MB at the limit.
+ORDER_LIMIT = 10_000
 
 POWER_TOL = 1e-12  # the residual at which a power iteration stops
 MAX_ITERATIONS = 1_000_000
@@ -97,21 +102,32 @@ def power_radius(a, sizes, max_iterations=MAX_ITERATIONS):
     against rho, which a +1 shift brings down in a few steps, takes about
     25-30 (dense random graphs: 2.5 times the steps at edge density 0.95,
     1.8 times at 0.5, 1.3 times at 0.1).
+
+    Each step writes into two buffers allocated once per call, and x in
+    place (``out`` is each call's last argument), with the operations and
+    order of fresh arrays (``np.dot`` makes the BLAS calls of ``@``), so
+    every output keeps its bits: ``tests/test_spectral.py::TestPowerKernel``.
     """
     if len(sizes) == 0:
         return SpectralResult(0.0, np.zeros(0), 0.0, 0, "power")
     root = np.sqrt(sizes)
     floor = 2.0 * (len(sizes) + 2) * _UNIT_ROUNDOFF
     x = root / math.sqrt(sum(sizes))
+    ax, t = np.empty_like(x), np.empty_like(x)
     rho, res, iterations = 0.0, math.inf, 0
     for iterations in range(1, max_iterations + 1):
-        ax = a @ x
-        rho = float(x @ ax)
-        res = float((np.abs(ax - rho * x) / root).max())
+        np.dot(a, x, ax)
+        rho = float(x.dot(ax))
+        np.multiply(rho, x, t)
+        np.subtract(ax, t, t)
+        np.abs(t, t)
+        np.divide(t, root, t)
+        res = float(np.maximum.reduce(t))
         if res <= max(POWER_TOL, floor * rho):
             return SpectralResult(rho, x, res, iterations, "power")
-        y = ax + (0.5 * rho) * x
-        x = y / math.sqrt(y @ y)
+        np.multiply(0.5 * rho, x, t)
+        np.add(ax, t, t)
+        np.divide(t, math.sqrt(t.dot(t)), x)
     return SpectralResult(rho, x, res, iterations, "power", converged=False)
 
 

@@ -95,7 +95,8 @@ class ComparisonCertificate:
     """Outcome of the lexicographic comparison of total-walk sequences.
 
     ``witness_index`` is the least level where the totals differ (None when
-    equal); ``bound_used`` is the number of levels that decided the result.
+    equal); ``bound_used`` is n1 + n2, after which level the comparison is
+    exact (see :func:`walk_compare`), whichever level decided it.
     """
 
     ordering: Ordering

@@ -5,11 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from report_digest import README_FILES, readme_cli_section, readme_commands
 from walkspectra import __version__, cli, extremal
+from walkspectra.spectral import ORDER_LIMIT
 from walkspectra.cli import (
     EXIT_FAIL,
     EXIT_INAPPLICABLE,
@@ -402,6 +404,35 @@ class TestInputsAndErrors:
         bad.write_text(text)
         assert main([a.format(bad) for a in argv]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("order", [ORDER_LIMIT + 1, 3_000_000])
+    @pytest.mark.parametrize(
+        "form",
+        ["edge-list", "empty", "complete", "star", "path", "cycle", "turan", "complete_multipartite"],
+    )
+    def test_huge_declared_order_refused_unallocated(self, capsys, tmp_path, form, order):
+        # A dense adjacency matrix of this order does not fit in memory, or
+        # takes 100 MB: the header or spec is refused before any allocation.
+        if form == "edge-list":
+            source = tmp_path / "huge.el"
+            source.write_text(f"{order} 0\n")
+            argv, where = ["--graph", str(source)], f"{source}: line 1"
+        else:
+            spec = {
+                "turan": f"turan:{order},3",
+                "complete_multipartite": f"complete_multipartite:{order - 5},2,3",
+            }.get(form, f"{form}:{order}")
+            argv, where = ["--family", spec], f"family {spec!r}"
+        tracemalloc.start()
+        try:
+            code = main(["rho", *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {where}: order {order} is above the limit {ORDER_LIMIT}\n"
+        assert peak < 2**20
 
     def test_repeated_edge_rejected(self, capsys, tmp_path):
         # The header declares two edges, but the file holds one twice.

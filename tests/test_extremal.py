@@ -554,13 +554,16 @@ class TestVerifyOneSet:
         # Stand-in radii: the triangle's embedding gets 10 + gap, the other
         # host's 10, each bracketed by +-half.
         triangle = complete(3).add_isolated(1)
+        reached = []
 
-        def fake(member):
-            rho = 10.0 + (gap if member.hosts[-1] == triangle else 0.0)
+        def fake(s_size, host, n, kept):
+            reached.append(n)
+            rho = 10.0 + (gap if host == triangle else 0.0)
             return SpectralResult(rho, None, 0.0, 1, "power"), (rho - half, rho + half)
 
-        monkeypatch.setattr(extremal, "_radius", fake)
+        monkeypatch.setattr(extremal, "_one_set_radius", fake)
         rep = verify_one_set(3, 4, complete(3), host2, range(7, 12))
+        assert reached == [n for n in range(7, 12) for _host in (1, 2)]
         assert rep.verdict == verdict
         assert rep.details["onset"] == (7 if verdict == "pass" else None)
 
@@ -569,18 +572,23 @@ class TestVerifyOneSet:
         # Both radii are exactly 4 at n = 12, and their float difference is
         # a few ulps off zero: whichever side it falls on, the tie must not
         # count towards the walk order, so the onset stays 13.
-        real = extremal._radius
+        real = extremal._one_set_radius
+        reached, nudged_at = [], []
 
-        def nudged(member):
-            res, a = real(member)
-            if member.part_sizes[-1] == 11 and to_graph6(member.hosts[-1]) == "Is_?G????":
+        def nudged(s_size, host, n, kept):
+            res, a = real(s_size, host, n, kept)
+            reached.append(n)
+            if n == 12 and to_graph6(host) == "Is_?G????":
                 res = dataclasses.replace(res, rho=res.rho + ulps * math.ulp(res.rho))
+                nudged_at.append(n)
             return res, a
 
-        monkeypatch.setattr(extremal, "_radius", nudged)
+        monkeypatch.setattr(extremal, "_one_set_radius", nudged)
         rep = verify_one_set(
             1, 10, from_graph6("IqK??????"), from_graph6("Is_?G????"), range(11, 20)
         )
+        assert reached == [n for n in range(11, 20) for _host in (1, 2)]
+        assert nudged_at == [12]
         assert rep.details["ordering"] == "less"
         assert rep.details["onset"] == 13
 
@@ -629,6 +637,44 @@ class TestVerifyOneSet:
         assert res.converged and res.iterations <= 60
         rho = np.linalg.eigvalsh(e.quotient()[0])[-1]
         assert lo <= rho <= hi and hi - lo <= 1e-13 * rho
+
+
+class TestOneSetQuotient:
+    @pytest.mark.parametrize(
+        "s, t, host1, host2, ns",
+        [
+            (1, 10, from_graph6("IqK??????"), from_graph6("Is_?G????"), range(11, 20)),
+            (3, 4, complete(3), star(4), range(7, 12)),  # starts at s + t
+            (3, 6, path(3), star(3), [9, 10, 12, 50, 200, 10**9]),  # padded, gapped
+            (1, 5, complete(2), path(3), [7, 9, 10**9]),  # starts past s + t
+            (3, 4, star(4), star(4), [8, 40, 10**9]),  # identical hosts
+        ],
+        ids=["s1", "from-s+t", "padded-gapped", "past-s+t", "same-host"],
+    )
+    def test_blocks_equal_a_fresh_embedding(self, monkeypatch, s, t, host1, host2, ns):
+        # The quotient each radius runs on equals _blocks of a fresh
+        # embedding at that n, bit for bit: q, sizes, B and the roots.
+        real = extremal._blocks_radius
+        seen = []
+
+        def copied(blocks):
+            a, sizes, ((b, root, idx),) = blocks
+            seen.append((a.copy(), sizes.copy(), b.copy(), root.copy(), idx))
+            return real(blocks)
+
+        monkeypatch.setattr(extremal, "_blocks_radius", copied)
+        verify_one_set(s, t, host1, host2, ns)
+        hosts = [h.add_isolated(t - h.n) for h in (host1, host2)]
+        fresh = [
+            extremal._blocks(MultipartiteEmbedding((1,) * s + (n - s,), (None,) * s + (h,)))
+            for n in ns
+            for h in hosts
+        ]
+        assert len(seen) == len(fresh) == 2 * len(ns)
+        for got, (a, sizes, ((b, root, idx),)) in zip(seen, fresh):
+            for x, y in zip(got[:4], (a, sizes, b, root)):
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+            assert got[4] == idx
 
 
 class TestVerifyMultiSet:

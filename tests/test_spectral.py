@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import random
 
 import numpy as np
@@ -24,7 +26,8 @@ from walkspectra import (
     turan,
 )
 from walkspectra import extremal, spectral
-from walkspectra.extremal import sample_embedding
+from walkspectra.extremal import enumerate_embeddings, sample_embedding
+from walkspectra.graphio import from_graph6
 from walkspectra.spectral import _jacobi_eigh, _round_robin, collatz_wielandt, power_radius
 
 
@@ -126,6 +129,75 @@ class TestRhoPower:
         assert res.converged
         assert lo <= res.rho <= hi
         assert lo <= rho <= hi
+
+
+ONSET_TABLE = os.path.join(os.path.dirname(__file__), "..", "bench", "expected", "onset_table.json")
+
+
+def reference_power_radius(a, sizes, max_iterations):
+    """power_radius's loop with a fresh array for every temporary: the
+    reference for the bits of the buffered loop.  Returns (rho, residual,
+    iterations, converged, vector)."""
+    root = np.sqrt(sizes)
+    floor = 2.0 * (len(sizes) + 2) * 2.0**-53
+    x = root / math.sqrt(sum(sizes))
+    rho, res, iterations = 0.0, math.inf, 0
+    for iterations in range(1, max_iterations + 1):
+        ax = a @ x
+        rho = float(x @ ax)
+        res = float((np.abs(ax - rho * x) / root).max())
+        if res <= max(spectral.POWER_TOL, floor * rho):
+            return rho, res, iterations, True, x
+        y = ax + (0.5 * rho) * x
+        x = y / math.sqrt(y @ y)
+    return rho, res, iterations, False, x
+
+
+def _one_set_quotients():
+    """The one-set quotients of the onset table's host pairs (clique of 3)
+    at n = s+t, s+t+1, 50, 200 and 10^9."""
+    with open(ONSET_TABLE, encoding="utf-8") as fh:
+        rows = json.load(fh)
+    s, out = 3, []
+    for row in rows:
+        t = row["t_size"]
+        for code in (row["h1"], row["h2"]):
+            host = from_graph6(code)
+            host = host.add_isolated(t - host.n)
+            for n in (s + t, s + t + 1, 50, 200, 10**9):
+                parts = (1,) * s + (n - s,)
+                out.append(MultipartiteEmbedding(parts, (None,) * s + (host,)).quotient())
+    return out
+
+
+def _random_adjacencies():
+    """Seeded random graphs: sparse and dense, disconnected, edgeless."""
+    rng = random.Random(24)
+    graphs = [empty(1), empty(6), disjoint_union(complete(4), path(3))]
+    graphs += [random_graph(rng, rng.randint(1, 30), rng.choice((0.05, 0.3, 0.9))) for _ in range(30)]
+    graphs += [
+        disjoint_union(random_connected_graph(rng, rng.randint(1, 12), 0.4), empty(rng.randint(1, 4)))
+        for _ in range(10)
+    ]
+    return [(g.adjacency(float), [1] * g.n) for g in graphs]
+
+
+class TestPowerKernel:
+    @pytest.mark.parametrize("steps", [spectral.MAX_ITERATIONS, 1, 8], ids=["full", "cap1", "cap8"])
+    @pytest.mark.parametrize("inputs", ["one-set", "embeddings", "random"])
+    def test_same_bits_as_allocating_loop(self, inputs, steps):
+        if inputs == "one-set":
+            cases = _one_set_quotients()
+        elif inputs == "embeddings":
+            cases = [m.quotient() for m in enumerate_embeddings(60, 3, 4).members]
+        else:
+            cases = _random_adjacencies()
+        for a, sizes in cases:
+            got = power_radius(a, sizes, max_iterations=steps)
+            rho, res, iterations, converged, x = reference_power_radius(a, sizes, steps)
+            assert (got.rho.hex(), got.residual.hex()) == (rho.hex(), res.hex())
+            assert (got.iterations, got.converged) == (iterations, converged)
+            assert got.vector.dtype == x.dtype and got.vector.tobytes() == x.tobytes()
 
 
 class TestRhoDense:
