@@ -22,6 +22,9 @@ verdict:
               every parent run;
   within      none of the above: no worse than the bound.
 
+Beside the summary it prints each checkout's line count of
+``src/walkspectra/*.py``, as ``wc -l`` totals it.
+
 Compare checkouts in the same kind of place (two sibling directories, say):
 set-up time depends on where a checkout sits.  The script edits nothing;
 the runs write only under each checkout's ``bench/out``.
@@ -30,6 +33,7 @@ the runs write only under each checkout's ``bench/out``.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -102,6 +106,16 @@ def run_once(checkout, workload, seed, seconds):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def line_count(checkout):
+    """The newlines in ``checkout``'s ``src/walkspectra/*.py``: the total of
+    ``wc -l`` on those files."""
+    total = 0
+    for name in glob.glob(os.path.join(checkout, "src", "walkspectra", "*.py")):
+        with open(name, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def parse_seeds(text):
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -135,6 +149,9 @@ def main(argv=None):
 
     print(f"{args.workload}: {len(pairs)} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}, "
           f"{args.seconds:g} s runs; median [q1, q3]")
+    lines = {side: line_count(getattr(args, side)) for side in ("parent", "change")}
+    print(f"  src lines    parent {lines['parent']}  change {lines['change']}  "
+          f"{lines['change'] - lines['parent']:+d}")
     for name, s in summarize(pairs, spec).items():
         (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
         ratio = f"{cm / pm - 1:+.1%}" if pm else "n/a"

@@ -36,7 +36,7 @@ from .extremal import (
     verify_multi_set,
     verify_one_set,
 )
-from .graphio import from_graph6, graph6_record, parse_edge_list, read_graph6, read_text, to_graph6
+from .graphio import from_graph6, read_graph, read_graph6, to_graph6
 from .graphs import (
     MultipartiteEmbedding,
     complete,
@@ -72,6 +72,14 @@ _FAMILY_BUILDERS = {
 }
 
 
+def _integers(text, what):
+    """The comma-separated integers of ``text``, empty items skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise FormatError(f"{what}: expected comma-separated integers, got {text!r}") from None
+
+
 def family_graph(spec):
     """Build a named family from 'name:arg1,arg2,...' of order at most
     ``ORDER_LIMIT``, refused before anything is allocated."""
@@ -79,10 +87,7 @@ def family_graph(spec):
     if not sep or name not in _FAMILY_BUILDERS:
         known = ", ".join(sorted(_FAMILY_BUILDERS))
         raise FormatError(f"unknown family {spec!r}; use one of: {known}")
-    try:
-        args = [int(x) for x in argstr.split(",") if x != ""]
-    except ValueError:
-        raise FormatError(f"non-integer family arguments in {spec!r}") from None
+    args = _integers(argstr, f"family {spec!r}")
     arity, build = _FAMILY_BUILDERS[name]
     if arity is not None and len(args) != arity:
         raise FormatError(f"family {name} takes {arity} argument(s), got {len(args)}")
@@ -94,40 +99,17 @@ def family_graph(spec):
     return build(args)
 
 
-def _graph_from_file(path_):
-    """The one graph of an edge-list or graph6 file; a bad record raises
-    FormatError naming the file."""
-    text = read_text(path_)
-    rows = [
-        (lineno, line)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if (line := raw.split("#", 1)[0].strip())
-    ]
-    if not rows:
-        raise FormatError(f"no graph data in {path_}")
-    lineno, first = rows[0]
-    parts = first.split()
-    if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
-        try:
-            return parse_edge_list(text)
-        except FormatError as exc:
-            raise FormatError(exc.reason, line=exc.line, path=path_) from None
-    if len(rows) > 1:
-        raise FormatError(f"{path_} holds {len(rows)} graph6 lines; one graph expected")
-    return graph6_record(first, lineno, path_)
-
-
 def load_graph(spec):
     """Resolve a graph argument: file path, family spec, or graph6 string."""
     if os.path.exists(spec):
-        return _graph_from_file(spec)
+        return read_graph(spec)
     if ":" in spec and spec.partition(":")[0] in _FAMILY_BUILDERS:
         return family_graph(spec)
     try:
         return from_graph6(spec)
-    except FormatError:
+    except FormatError as exc:
         raise FormatError(
-            f"cannot interpret {spec!r} as a file, family spec, or graph6 string"
+            f"cannot interpret {spec!r} as a file, family spec, or graph6 string: {exc}"
         ) from None
 
 
@@ -136,7 +118,7 @@ def _graph_from_args(args):
     if len(picked) != 1:
         raise FormatError("exactly one of --graph/--graph6/--family is required")
     if args.graph:
-        return _graph_from_file(args.graph)
+        return read_graph(args.graph)
     if args.graph6:
         return from_graph6(args.graph6)
     return family_graph(args.family)
@@ -144,10 +126,7 @@ def _graph_from_args(args):
 
 def build_embedding(parts_spec, host_specs):
     """Embedding from '--parts n1,n2,...' plus repeated '--host i=GRAPH'."""
-    try:
-        sizes = [int(x) for x in parts_spec.split(",") if x != ""]
-    except ValueError:
-        raise FormatError(f"non-integer part sizes in {parts_spec!r}") from None
+    sizes = _integers(parts_spec, "--parts")
     hosts = [None] * len(sizes)
     for hs in host_specs or []:
         idx_str, sep, graph_spec = hs.partition("=")
@@ -314,10 +293,7 @@ def _cmd_rho(args):
 
 def _cmd_perron(args):
     g = _graph_from_args(args)
-    try:
-        subset = [int(x) for x in args.subset.split(",") if x != ""]
-    except ValueError:
-        raise FormatError(f"non-integer subset {args.subset!r}") from None
+    subset = _integers(args.subset, "--subset")
     result = perron_normalized(g, subset)
     report = _spectral_report(result)
     report["subset"] = subset
@@ -349,10 +325,10 @@ def _cmd_enumerate(args):
             "count": len(fam),
             "graphs": [to_graph6(g) for g in fam],
         }
-    try:
-        n, r, t = (int(x) for x in args.embeddings.split(","))
-    except ValueError:
-        raise FormatError("--embeddings expects n,r,t") from None
+    values = _integers(args.embeddings, "--embeddings")
+    if len(values) != 3:
+        raise FormatError(f"--embeddings expects n,r,t, got {args.embeddings!r}")
+    n, r, t = values
     fam = enumerate_embeddings(n, r, t, cache_dir=args.cache_dir)
     members = [
         {

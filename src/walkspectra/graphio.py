@@ -2,14 +2,20 @@
 
 Edge-list format: first line ``n m``, then m lines ``u v`` with 0-based
 vertex indices, each edge on one line only.  Blank lines and ``#`` comments
-are tolerated.  A header declaring more than ``spectral.ORDER_LIMIT``
-vertices is refused before the graph is allocated.
+are tolerated.
 
 graph6: standard bit-packed encoding, 6 bits per byte at offset 63, upper
-triangle in column-major order.
+triangle in column-major order, which by symmetry is the strict lower
+triangle in row-major order.
+
+An edge-list header or a graph6 size block declaring more than
+``spectral.ORDER_LIMIT`` vertices is refused before the edges or the body
+are parsed and before the graph is allocated.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import FormatError
 from .graphs import Graph
@@ -18,6 +24,7 @@ from .spectral import ORDER_LIMIT
 __all__ = [
     "parse_edge_list",
     "format_edge_list",
+    "read_graph",
     "to_graph6",
     "from_graph6",
     "read_graph6",
@@ -28,12 +35,21 @@ __all__ = [
 # ---- edge-list text --------------------------------------------------------
 
 
+def _data_lines(text):
+    """The comment-free, nonblank lines of ``text``, stripped, as ``(line
+    number, line)`` pairs."""
+    return [
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())
+    ]
+
+
 def parse_edge_list(text):
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line))
+    return _edge_list(_data_lines(text))
+
+
+def _edge_list(rows):
     if not rows:
         raise FormatError("empty edge-list input")
 
@@ -83,19 +99,39 @@ def format_edge_list(g):
     return "\n".join(lines) + "\n"
 
 
+def read_graph(path):
+    """The one graph of an edge-list or graph6 file; a bad record raises
+    FormatError naming the file."""
+    rows = _data_lines(read_text(path))
+    if not rows:
+        raise FormatError(f"no graph data in {path}")
+    lineno, first = rows[0]
+    parts = first.split()
+    if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
+        try:
+            return _edge_list(rows)
+        except FormatError as exc:
+            raise FormatError(exc.reason, line=exc.line, path=path) from None
+    if len(rows) > 1:
+        raise FormatError(f"{path} holds {len(rows)} graph6 lines; one graph expected")
+    return graph6_record(first, lineno, path)
+
+
 # ---- graph6 ---------------------------------------------------------------
+
+# The body's bits are the entries of the mask np.tri(n, k=-1), six to a
+# byte, most significant first.  A boolean mask costs one byte per entry;
+# index arrays (np.tril_indices) would cost 16 per pair.
+_BIT_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
+_GRAPH6_CHARS = bytes(range(63, 127))
 
 
 def _g6_size_bytes(n):
-    if n < 0:
-        raise FormatError("negative vertex count")
     if n <= 62:
         return bytes([n + 63])
     if n <= 258047:
-        return bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    if n <= 68719476735:
-        return bytes([126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)])
-    raise FormatError("graph too large for graph6")
+        return bytes([126] + [((n >> s) & 63) + 63 for s in (12, 6, 0)])
+    return bytes([126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)])
 
 
 def to_graph6(g):
@@ -110,23 +146,19 @@ def to_graph6(g):
 
 
 def _encode_graph6(g):
-    n = g.n
-    out = bytearray(_g6_size_bytes(n))
-    # Column j of the upper triangle is row j's first j entries, since the
-    # matrix is symmetric; Python bools read faster than numpy scalars.
-    rows = g.adj.tolist()
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        for bit in rows[j][:j]:
-            acc = (acc << 1) | bit
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc, nbits = 0, 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    bits = g.adj[np.tri(g.n, k=-1, dtype=bool)]
+    groups = np.zeros(-(-bits.size // 6) * 6, dtype=np.uint8)
+    groups[: bits.size] = bits
+    body = groups.reshape(-1, 6) @ _BIT_WEIGHTS + 63
+    return (_g6_size_bytes(g.n) + body.tobytes()).decode("ascii")
+
+
+def _graph6_bytes(text):
+    """``text`` as bytes, each a graph6 character."""
+    data = text.encode("utf-8", "surrogatepass")  # non-ASCII text gives bytes above 127
+    if data.translate(None, _GRAPH6_CHARS):
+        raise FormatError("invalid graph6 character")
+    return data
 
 
 def from_graph6(s):
@@ -134,59 +166,35 @@ def from_graph6(s):
 
     Only the one encoding ``to_graph6`` writes is accepted: a size block
     longer than the order needs, or nonzero padding bits, raise FormatError.
+    An order above ``ORDER_LIMIT`` is refused as soon as the size block is
+    read, before the body is scanned, copied or decoded.
     """
-    s = s.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<") :]
+    s = s.strip().removeprefix(">>graph6<<")
     if not s:
         raise FormatError("empty graph6 string")
-    try:
-        data = s.encode("ascii")
-    except UnicodeEncodeError:
-        raise FormatError("invalid graph6 character") from None
-    if any(b < 63 or b > 126 for b in data):
-        raise FormatError("invalid graph6 character")
-
-    if data[0] != 126:
-        n = data[0] - 63
-        body = data[1:]
-    elif len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise FormatError("truncated graph6 size block")
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
-    else:
-        if len(data) < 8:
-            raise FormatError("truncated graph6 size block")
-        n = 0
-        for b in data[2:8]:
-            n = (n << 6) | (b - 63)
-        body = data[8:]
-    if len(data) - len(body) != len(_g6_size_bytes(n)):
+    width = 1 if s[0] != "~" else 4 if s[1:2] != "~" else 8
+    head = _graph6_bytes(s[:width])
+    if len(head) < width:
+        raise FormatError("truncated graph6 size block")
+    n = 0
+    for b in head[width // 4 :]:  # after the one or two '~' markers
+        n = (n << 6) | (b - 63)
+    if len(_g6_size_bytes(n)) != width:
         raise FormatError(f"graph6 size block longer than needed for n={n}")
+    if n > ORDER_LIMIT:
+        raise FormatError(f"order {n} is above the limit {ORDER_LIMIT}")
 
+    body = np.frombuffer(_graph6_bytes(s), dtype=np.uint8, offset=width)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(body) != need:
-        raise FormatError(
-            f"graph6 body has {len(body)} bytes, expected {need} for n={n}"
-        )
-    bits = 0
-    for b in body:
-        bits = (bits << 6) | (b - 63)
-    pad = 6 * need - nbits
-    if bits & ((1 << pad) - 1):
+    if body.size != need:
+        raise FormatError(f"graph6 body has {body.size} bytes, expected {need} for n={n}")
+    bits = ((body[:, None] - 63) & _BIT_WEIGHTS).astype(bool).ravel()
+    if bits[nbits:].any():
         raise FormatError("nonzero graph6 padding bits")
-    bits >>= pad
-
-    edges = []
-    pos = nbits
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if (bits >> pos) & 1:
-                edges.append((i, j))
-    return Graph.from_edge_list(n, edges)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
+    return Graph(adj | adj.T)
 
 
 def read_text(path):

@@ -36,9 +36,11 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 64
-# The largest order an edge-list header or a family spec may declare: a
-# graph is held as a dense adjacency matrix, n^2 bytes of bools and 8 n^2
-# of floats for a power iteration, so 100 MB and 800 MB at the limit.
+# The largest order an edge-list header, a graph6 size block or a family
+# spec may declare: a graph is held as a dense adjacency matrix, n^2 bytes
+# of bools and 8 n^2 of floats for a power iteration, so 100 MB and 800 MB
+# at the limit.  Neighbour lists, which walk counts and components read,
+# cost about 36 bytes per ordered adjacent pair: 3.6 GB for complete:10000.
 ORDER_LIMIT = 10_000
 
 POWER_TOL = 1e-12  # the residual at which a power iteration stops

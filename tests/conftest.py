@@ -56,6 +56,15 @@ def random_graph(rng, n, p):
     return Graph.from_edge_list(n, edges)
 
 
+def edgeless_graph6(order, body=True):
+    """The graph6 string of the edgeless graph of ``order`` vertices, written
+    out byte by byte: the size block, then the body (all '?') unless
+    ``body`` is false."""
+    shifts = (0,) if order <= 62 else (12, 6, 0) if order <= 258047 else (30, 24, 18, 12, 6, 0)
+    head = "~" * (len(shifts) // 3) + "".join(chr(((order >> s) & 63) + 63) for s in shifts)
+    return head + "?" * ((order * (order - 1) // 2 + 5) // 6 if body else 0)
+
+
 def random_connected_graph(rng, n, p):
     """Random graph plus a random spanning tree to force connectivity."""
     g = random_graph(rng, n, p)

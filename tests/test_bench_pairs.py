@@ -1,9 +1,9 @@
 """The summary arithmetic of scripts/bench_pairs.py: quartiles, wins and
-the verdict rules."""
+the verdict rules, and its source line count."""
 
 import pytest
 
-from bench_pairs import parse_seeds, quartiles, summarize
+from bench_pairs import line_count, parse_seeds, quartiles, summarize
 
 TASKS = {"name": "tasks_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}
 P50 = {"name": "task_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}
@@ -66,3 +66,14 @@ def test_spread_wider_than_the_bound_is_unresolved():
 @pytest.mark.parametrize("text, seeds", [("101-103", [101, 102, 103]), ("7", [7])])
 def test_seed_range(text, seeds):
     assert parse_seeds(text) == seeds
+
+
+def test_line_count_totals_newlines_like_wc(tmp_path):
+    lib = tmp_path / "src" / "walkspectra"
+    lib.mkdir(parents=True)
+    (lib / "a.py").write_text("x = 1\n\ny = 2\n")
+    (lib / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+    (lib / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert line_count(tmp_path) == 3
+    assert line_count(tmp_path / "missing") == 0

@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from conftest import edgeless_graph6
 from report_digest import README_FILES, readme_cli_section, readme_commands
 from walkspectra import __version__, cli, extremal
 from walkspectra.spectral import ORDER_LIMIT
@@ -408,31 +409,48 @@ class TestInputsAndErrors:
     @pytest.mark.parametrize("order", [ORDER_LIMIT + 1, 3_000_000])
     @pytest.mark.parametrize(
         "form",
-        ["edge-list", "empty", "complete", "star", "path", "cycle", "turan", "complete_multipartite"],
+        ["edge-list", "graph6", "graph6-file", "graph6-family-file", "compare-graph6",
+         "empty", "complete", "star", "path", "cycle", "turan", "complete_multipartite"],
     )
     def test_huge_declared_order_refused_unallocated(self, capsys, tmp_path, form, order):
         # A dense adjacency matrix of this order does not fit in memory, or
-        # takes 100 MB: the header or spec is refused before any allocation.
+        # takes 100 MB: the header, graph6 size block or spec is refused
+        # before any allocation.  A graph6 string carries its full body
+        # where that can be held (8.3 MB at 10,001 vertices; 750 GB at
+        # 3,000,000), and the refusal neither scans nor decodes it.
+        code6 = edgeless_graph6(order, body=order <= ORDER_LIMIT + 1)
+        source = tmp_path / "huge.txt"
         if form == "edge-list":
-            source = tmp_path / "huge.el"
             source.write_text(f"{order} 0\n")
-            argv, where = ["--graph", str(source)], f"{source}: line 1"
+            argv, where = ["rho", "--graph", str(source)], f"{source}: line 1: "
+        elif form == "graph6":
+            argv, where = ["rho", "--graph6", code6], ""
+        elif form == "graph6-file":
+            source.write_text(code6 + "\n")
+            argv, where = ["rho", "--graph", str(source)], f"{source}: line 1: bad graph6 record: "
+        elif form == "graph6-family-file":
+            source.write_text("Bw\n" + code6 + "\n")
+            argv = ["exfilter", "--family-file", str(source), "--infinity"]
+            where = f"{source}: line 2: bad graph6 record: "
+        elif form == "compare-graph6":
+            argv = ["compare", "--g1", code6, "--g2", "star:3"]
+            where = f"cannot interpret {code6!r} as a file, family spec, or graph6 string: "
         else:
             spec = {
                 "turan": f"turan:{order},3",
                 "complete_multipartite": f"complete_multipartite:{order - 5},2,3",
             }.get(form, f"{form}:{order}")
-            argv, where = ["--family", spec], f"family {spec!r}"
+            argv, where = ["rho", "--family", spec], f"family {spec!r}: "
         tracemalloc.start()
         try:
-            code = main(["rho", *argv])
+            code = main(argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err == f"error: {where}: order {order} is above the limit {ORDER_LIMIT}\n"
-        assert peak < 2**20
+        assert err == f"error: {where}order {order} is above the limit {ORDER_LIMIT}\n"
+        assert peak < (2**26 if "graph6" in form else 2**20)
 
     def test_repeated_edge_rejected(self, capsys, tmp_path):
         # The header declares two edges, but the file holds one twice.
@@ -467,6 +485,25 @@ class TestInputsAndErrors:
                 "--host", "1=star:4", "--host", "1=complete:3"]
         assert main(argv) == EXIT_USAGE
         assert "more than one host" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("solve-series --parts 3,x",
+             "--parts: expected comma-separated integers, got '3,x'"),
+            ("perron --family star:5 --subset 0,a",
+             "--subset: expected comma-separated integers, got '0,a'"),
+            ("enumerate --embeddings 10,2", "--embeddings expects n,r,t, got '10,2'"),
+            ("enumerate --embeddings 10,2,x",
+             "--embeddings: expected comma-separated integers, got '10,2,x'"),
+            ("rho --family turan:7,x",
+             "family 'turan:7,x': expected comma-separated integers, got '7,x'"),
+        ],
+        ids=["parts", "subset", "embeddings-count", "embeddings-integer", "family"],
+    )
+    def test_integer_list_refused(self, capsys, argv, message):
+        code, out, err = run_captured(capsys, argv.split())
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
     def test_unknown_family(self, capsys):
         assert main(["walks", "--family", "hypercube:4", "--depth", "2"]) == EXIT_USAGE

@@ -4,12 +4,13 @@ import hashlib
 import math
 import os
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from conftest import eig_rho
+from conftest import edgeless_graph6, eig_rho
 from walkspectra import (
     Graph,
     GraphError,
@@ -224,6 +225,25 @@ class TestEnumerateMEdge:
             assert rng_cached.getstate() == rng_plain.getstate()
             assert reads and len(reads) == len(set(reads))
             reads.clear()
+
+    def test_huge_record_refused_undecoded(self, tmp_path, monkeypatch):
+        # A first line declaring 10,001 vertices, with its full 8.3 MB body,
+        # is refused at its size block: no matrix is allocated, and the
+        # file is regenerated.
+        cache = tmp_path / "m_edge_3.g6"
+        enumerate_m_edge(3, cache_dir=str(tmp_path))
+        text = cache.read_text()
+        cache.write_text(edgeless_graph6(10_001) + "\n" + text)
+        monkeypatch.setattr(extremal, "_GENERATED", {})
+        tracemalloc.start()
+        try:
+            fam = enumerate_m_edge(3, cache_dir=str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**26
+        assert cache.read_text() == text
+        assert [to_graph6(g) for g in fam] == text.split()
 
     def test_warm_read_decodes_no_record(self, tmp_path, monkeypatch):
         # The first call generates the classes and writes them; the second
