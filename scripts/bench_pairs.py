@@ -1,9 +1,12 @@
-"""Run one benchmark workload in two checkouts, in alternating pairs, and
+"""Run benchmark workloads in two checkouts, in alternating pairs, and
 summarize each end-to-end metric.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload onset-scan --seeds 101-110
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload all --seeds 101-105
 
-For each seed, ``bench/run.py --workload W --seed S --seconds T --trace 0``
+``--workload`` takes one workload, a comma-separated list of them, or
+``all``, meaning every workload of BENCHMARK.json, run one after another.
+For each workload and seed, ``bench/run.py --workload W --seed S --seconds T --trace 0``
 runs in both checkouts, one after the other; the parent runs first on even
 pair indices and the change first on odd ones, so drift in the machine's
 speed falls on both sides alike.  ``--seconds`` defaults to BENCHMARK.json's
@@ -22,8 +25,10 @@ verdict:
               every parent run;
   within      none of the above: no worse than the bound.
 
-Beside the summary it prints each checkout's line count of
-``src/walkspectra/*.py``, as ``wc -l`` totals it.
+Beside each summary it prints each checkout's line count of
+``src/walkspectra/*.py``, as ``wc -l`` totals it.  The last line names each
+metric and workload whose verdict is ``worse``, or says there is none; the
+exit status is 1 if there is one, else 0.
 
 Compare checkouts in the same kind of place (two sibling directories, say):
 set-up time depends on where a checkout sits.  The script edits nothing;
@@ -121,23 +126,28 @@ def parse_seeds(text):
     return list(range(int(first), int(last or first) + 1))
 
 
-def main(argv=None):
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        bench = json.load(fh)
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("parent", help="checkout of the parent commit")
-    p.add_argument("change", help="checkout of the change")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", required=True, type=parse_seeds, help="first-last, e.g. 101-110")
-    p.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    args = p.parse_args(argv)
+def parse_workloads(text, names):
+    """The workloads ``text`` names, from ``names``: one, a comma-separated
+    list, or ``all`` for every one of them."""
+    if text == "all":
+        return list(names)
+    picked = list(dict.fromkeys(w for w in text.split(",") if w))
+    unknown = [w for w in picked if w not in names]
+    if unknown or not picked:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {', '.join(unknown) or repr(text)}; use {', '.join(names)} or all"
+        )
+    return picked
 
-    spec = bench["end_to_end"]
+
+def compare(args, workload, spec):
+    """Run ``workload``'s pairs, print them and their summary, and return
+    the summary."""
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         sides = {
-            side: run_once(getattr(args, side), args.workload, seed, args.seconds)
+            side: run_once(getattr(args, side), workload, seed, args.seconds)
             for side in order
         }
         pairs.append((sides["parent"], sides["change"]))
@@ -147,18 +157,42 @@ def main(argv=None):
         )
         print(f"pair {i + 1} seed {seed} ({order[0]} first): {shown}", flush=True)
 
-    print(f"{args.workload}: {len(pairs)} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}, "
+    print(f"{workload}: {len(pairs)} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}, "
           f"{args.seconds:g} s runs; median [q1, q3]")
     lines = {side: line_count(getattr(args, side)) for side in ("parent", "change")}
     print(f"  src lines    parent {lines['parent']}  change {lines['change']}  "
           f"{lines['change'] - lines['parent']:+d}")
-    for name, s in summarize(pairs, spec).items():
+    summary = summarize(pairs, spec)
+    for name, s in summary.items():
         (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
         ratio = f"{cm / pm - 1:+.1%}" if pm else "n/a"
         print(f"  {name:<12} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} "
               f"[{c1:.4g}, {c3:.4g}] {s['unit']}  {ratio}  wins {s['wins']}/{s['pairs']}"
-              f" (losses {s['losses']})  {s['verdict']}")
-    return 0
+              f" (losses {s['losses']})  {s['verdict']}", flush=True)
+    return summary
+
+
+def main(argv=None):
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    names = [w["name"] for w in bench["workloads"]]
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", help="checkout of the parent commit")
+    p.add_argument("change", help="checkout of the change")
+    p.add_argument("--workload", required=True, type=lambda text: parse_workloads(text, names),
+                   help=f"one of {', '.join(names)}, a comma-separated list, or all")
+    p.add_argument("--seeds", required=True, type=parse_seeds, help="first-last, e.g. 101-110")
+    p.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    args = p.parse_args(argv)
+
+    worse = [
+        f"{name} on {workload}"
+        for workload in args.workload
+        for name, s in compare(args, workload, bench["end_to_end"]).items()
+        if s["verdict"] == "worse"
+    ]
+    print(f"worse: {', '.join(worse) or 'none'}")
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":

@@ -192,9 +192,12 @@ def from_graph6(s):
     bits = ((body[:, None] - 63) & _BIT_WEIGHTS).astype(bool).ravel()
     if bits[nbits:].any():
         raise FormatError("nonzero graph6 padding bits")
+    # Both triangles are filled in one matrix, which the graph takes as it
+    # is: the bits, the mask and the matrix peak at about 2.6 n^2 bytes.
     adj = np.zeros((n, n), dtype=bool)
-    adj[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
-    return Graph(adj | adj.T)
+    lower = np.tri(n, k=-1, dtype=bool)
+    adj[lower] = adj.T[lower] = bits[:nbits]
+    return Graph._owned(adj)
 
 
 def read_text(path):

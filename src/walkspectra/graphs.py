@@ -49,6 +49,17 @@ class Graph:
             raise GraphError("self-loops are not allowed")
         if adj.size and not np.array_equal(adj, adj.T):
             raise GraphError("adjacency matrix must be symmetric")
+        self._own(adj)
+
+    @classmethod
+    def _owned(cls, adj):
+        """A graph over ``adj``, a symmetric boolean matrix with an empty
+        diagonal that nothing else holds: taken without a copy or a check."""
+        g = cls.__new__(cls)
+        g._own(adj)
+        return g
+
+    def _own(self, adj):
         adj.setflags(write=False)
         self.n = int(adj.shape[0])
         self._adj = adj

@@ -1,9 +1,15 @@
 """The summary arithmetic of scripts/bench_pairs.py: quartiles, wins and
-the verdict rules, and its source line count."""
+the verdict rules, its source line count, its workload list and its exit
+status."""
+
+import argparse
+import json
+import os
 
 import pytest
 
-from bench_pairs import line_count, parse_seeds, quartiles, summarize
+import bench_pairs
+from bench_pairs import line_count, parse_seeds, parse_workloads, quartiles, summarize
 
 TASKS = {"name": "tasks_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}
 P50 = {"name": "task_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}
@@ -77,3 +83,58 @@ def test_line_count_totals_newlines_like_wc(tmp_path):
     (tmp_path / "src" / "other.py").write_text("not counted\n")
     assert line_count(tmp_path) == 3
     assert line_count(tmp_path / "missing") == 0
+
+
+with open(os.path.join(bench_pairs.ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+    BENCH = json.load(fh)
+NAMES = ["tnrk-scan", "onset-scan", "series-certify", "families-cli"]
+
+
+@pytest.mark.parametrize(
+    "text, workloads",
+    [
+        ("onset-scan", ["onset-scan"]),
+        ("onset-scan,tnrk-scan", ["onset-scan", "tnrk-scan"]),
+        ("tnrk-scan,,tnrk-scan,", ["tnrk-scan"]),
+        ("all", NAMES),
+    ],
+)
+def test_workload_list(text, workloads):
+    assert [w["name"] for w in BENCH["workloads"]] == NAMES
+    assert parse_workloads(text, NAMES) == workloads
+
+
+@pytest.mark.parametrize("text", ["onset", "onset-scan,bogus", ",", "ALL"])
+def test_unknown_workload_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="unknown workload"):
+        parse_workloads(text, NAMES)
+
+
+@pytest.mark.parametrize(
+    "slower, status, last",
+    [
+        ({}, 0, "worse: none"),
+        ({"onset-scan": 0.9}, 0, "worse: none"),  # 10% slower: inside the 20% bound
+        ({"onset-scan": 0.7}, 1, "worse: tasks_per_s on onset-scan"),
+        (
+            {"tnrk-scan": 0.5, "families-cli": 0.7},
+            1,
+            "worse: tasks_per_s on tnrk-scan, tasks_per_s on families-cli",
+        ),
+    ],
+)
+def test_exit_status_names_every_worse_verdict(monkeypatch, capsys, slower, status, last):
+    # The change runs each workload at the given fraction of the parent's
+    # tasks_per_s; every other metric is the same on both sides.
+    def run_once(checkout, workload, seed, seconds):
+        metrics = {m["name"]: 1.0 for m in BENCH["end_to_end"]}
+        if checkout == "change":
+            metrics["tasks_per_s"] = slower.get(workload, 1.0)
+        return metrics
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["parent", "change", "--workload", "all", "--seeds", "1-3"]) == status
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == last
+    assert [line.split(":")[0] for line in out if ": 3 pairs" in line] == NAMES
+

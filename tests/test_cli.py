@@ -434,7 +434,11 @@ class TestInputsAndErrors:
             where = f"{source}: line 2: bad graph6 record: "
         elif form == "compare-graph6":
             argv = ["compare", "--g1", code6, "--g2", "star:3"]
-            where = f"cannot interpret {code6!r} as a file, family spec, or graph6 string: "
+            # An argument over 80 characters is quoted by its head and length.
+            quoted = repr(code6)
+            if len(code6) > 80:
+                quoted = f"{code6[:80]!r}... ({len(code6)} characters)"
+            where = f"cannot interpret {quoted} as a file, family spec, or graph6 string: "
         else:
             spec = {
                 "turan": f"turan:{order},3",
@@ -451,6 +455,7 @@ class TestInputsAndErrors:
         err = capsys.readouterr().err
         assert err == f"error: {where}order {order} is above the limit {ORDER_LIMIT}\n"
         assert peak < (2**26 if "graph6" in form else 2**20)
+        assert len(err.encode()) < 1024
 
     def test_repeated_edge_rejected(self, capsys, tmp_path):
         # The header declares two edges, but the file holds one twice.
@@ -504,6 +509,36 @@ class TestInputsAndErrors:
     def test_integer_list_refused(self, capsys, argv, message):
         code, out, err = run_captured(capsys, argv.split())
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("length", [80, 81])
+    def test_refused_argument_quoted_by_its_head(self, capsys, length):
+        # 'x' declares 57 vertices, so neither string is a whole graph6 body.
+        arg = "x" * length
+        quoted = repr(arg) if length <= 80 else f"{arg[:80]!r}... (81 characters)"
+        code, out, err = run_captured(capsys, ["compare", "--g1", arg, "--g2", "star:3"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: cannot interpret {quoted} as a file, family spec, ")
+
+    @pytest.mark.parametrize(
+        "argv, head",
+        [
+            (["rho", "--family", "complete_multipartite:" + "1," * 20_000],
+             "family 'complete_multipartite:1,1,"),
+            (["rho", "--family", "hypercube:" + "1," * 20_000], "unknown family 'hypercube:1,"),
+            (["solve-series", "--parts", "1," * 20_000 + "x"],
+             "--parts: expected comma-separated integers, got '1,1,"),
+            (["solve-series", "--parts", "3,3", "--host", "x" * 20_000 + "=K3"],
+             "non-integer part index in 'xxx"),
+            (["enumerate", "--embeddings", "1," * 20_000], "--embeddings expects n,r,t, got '1,1,"),
+        ],
+        ids=["family-order", "family-name", "parts", "host", "embeddings"],
+    )
+    def test_long_refused_argument_quoted_by_its_head(self, capsys, argv, head):
+        code, out, err = run_captured(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: {head}")
+        assert f"... ({len(argv[-1])} characters)" in err
+        assert len(err.encode()) < 1024
 
     def test_unknown_family(self, capsys):
         assert main(["walks", "--family", "hypercube:4", "--depth", "2"]) == EXIT_USAGE

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,6 +169,21 @@ class TestGraph6:
         s = to_graph6(g)
         assert s.startswith("~")
         assert from_graph6(s) == g
+
+    def test_decoding_peak_within_three_bytes_a_pair(self):
+        # The decoded bits, the lower-triangle mask and the matrix, which the
+        # graph takes without a copy: about 2.6 n^2 bytes at the peak.
+        n = 2000
+        g = complete(n)
+        text = to_graph6(g)
+        tracemalloc.start()
+        try:
+            h = from_graph6(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h == g and not h.adj.flags.writeable
+        assert peak <= 3 * n * n
 
     def test_invalid_characters(self):
         with pytest.raises(FormatError):

@@ -182,8 +182,23 @@ def _random_adjacencies():
     return [(g.adjacency(float), [1] * g.n) for g in graphs]
 
 
+def _assert_matches_reference(a, sizes, steps):
+    got = power_radius(a, sizes, max_iterations=steps)
+    rho, res, iterations, converged, x = reference_power_radius(a, sizes, steps)
+    assert (got.rho.hex(), got.residual.hex()) == (rho.hex(), res.hex())
+    assert (got.iterations, got.converged) == (iterations, converged)
+    assert got.vector.dtype == x.dtype and got.vector.tobytes() == x.tobytes()
+    return got
+
+
 class TestPowerKernel:
-    @pytest.mark.parametrize("steps", [spectral.MAX_ITERATIONS, 1, 8], ids=["full", "cap1", "cap8"])
+    # Caps of 3, 16, 17 and 33 steps end runs inside a block of 16 steps,
+    # on its last step and on the first step of the next.
+    @pytest.mark.parametrize(
+        "steps",
+        [spectral.MAX_ITERATIONS, 1, 3, 8, 16, 17, 33],
+        ids=["full", "cap1", "cap3", "cap8", "cap16", "cap17", "cap33"],
+    )
     @pytest.mark.parametrize("inputs", ["one-set", "embeddings", "random"])
     def test_same_bits_as_allocating_loop(self, inputs, steps):
         if inputs == "one-set":
@@ -193,11 +208,54 @@ class TestPowerKernel:
         else:
             cases = _random_adjacencies()
         for a, sizes in cases:
-            got = power_radius(a, sizes, max_iterations=steps)
-            rho, res, iterations, converged, x = reference_power_radius(a, sizes, steps)
-            assert (got.rho.hex(), got.residual.hex()) == (rho.hex(), res.hex())
-            assert (got.iterations, got.converged) == (iterations, converged)
-            assert got.vector.dtype == x.dtype and got.vector.tobytes() == x.tobytes()
+            _assert_matches_reference(a, sizes, steps)
+
+    @pytest.mark.parametrize(
+        "graph, steps",
+        [
+            (complete_multipartite((1, 2, 5)), 16),
+            (path(11), 128),
+            (complete_multipartite((1, 2, 6)), 17),
+            (disjoint_union(complete(4), path(3)), 65),
+        ],
+        ids=["K1,2,5-16", "P11-128", "K1,2,6-17", "K4+P3-65"],
+    )
+    def test_convergence_at_either_end_of_a_block(self, graph, steps):
+        # 16 and 128 steps end a block of 16, 17 and 65 begin one.
+        a, sizes = graph.adjacency(float), [1] * graph.n
+        assert reference_power_radius(a, sizes, spectral.MAX_ITERATIONS)[2] == steps
+        assert _assert_matches_reference(a, sizes, spectral.MAX_ITERATIONS).converged
+
+    @pytest.mark.parametrize(
+        "steps", [spectral.MAX_ITERATIONS, 1, 17], ids=["full", "cap1", "cap17"]
+    )
+    @pytest.mark.parametrize(
+        "a, sizes",
+        [
+            (empty(6).adjacency(float), [1] * 6),
+            (np.zeros((1, 1)), [1]),
+            (np.zeros((4, 4)), [1, 2, 3, 4]),
+        ],
+        ids=["edgeless", "one-vertex", "all-zero"],
+    )
+    def test_zero_products_stop_at_step_one(self, a, sizes, steps):
+        # The shifted sum is zero at step 1; a division by its norm would
+        # raise under the suite's RuntimeWarning filter.
+        got = _assert_matches_reference(a, sizes, steps)
+        assert (got.rho, got.residual, got.iterations, got.converged) == (0.0, 0.0, 1, True)
+
+    @pytest.mark.parametrize("order, block", [(150, 1), (128, 16)])
+    def test_products_past_the_returned_step(self, monkeypatch, order, block):
+        # Above order 128 each step is tested before the next one's product,
+        # so none is computed past the returned step; up to order 128 the
+        # rest of the returned step's block of 16 is.
+        a = random_connected_graph(random.Random(order), order, 0.3).adjacency(float)
+        products, dot = [], np.dot
+        monkeypatch.setattr(np, "dot", lambda m, *args: products.append(m is a) or dot(m, *args))
+        got = power_radius(a, [1] * order)
+        assert got.converged
+        assert sum(products) == -(-got.iterations // block) * block
+        assert (sum(products) > got.iterations) == (block > 1)
 
 
 class TestRhoDense:
