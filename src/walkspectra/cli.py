@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import FormatError, GraphError, HypothesisNotMet, SeriesError, SpectralError
+from .errors import FormatError, GraphError, HypothesisNotMet, SeriesError, SpectralError, quoted
 from .extremal import (
     enumerate_embeddings,
     enumerate_m_edge,
@@ -72,23 +72,13 @@ _FAMILY_BUILDERS = {
 }
 
 
-_QUOTE_LIMIT = 80  # the characters of a refused argument an error message quotes
-
-
-def _quoted(text):
-    """``text`` quoted, or its first ``_QUOTE_LIMIT`` characters and its length."""
-    if len(text) <= _QUOTE_LIMIT:
-        return repr(text)
-    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
-
-
 def _integers(text, what):
     """The comma-separated integers of ``text``, empty items skipped."""
     try:
         return [int(x) for x in text.split(",") if x != ""]
     except ValueError:
         raise FormatError(
-            f"{what}: expected comma-separated integers, got {_quoted(text)}"
+            f"{what}: expected comma-separated integers, got {quoted(text)}"
         ) from None
 
 
@@ -98,8 +88,8 @@ def family_graph(spec):
     name, sep, argstr = spec.partition(":")
     if not sep or name not in _FAMILY_BUILDERS:
         known = ", ".join(sorted(_FAMILY_BUILDERS))
-        raise FormatError(f"unknown family {_quoted(spec)}; use one of: {known}")
-    args = _integers(argstr, f"family {_quoted(spec)}")
+        raise FormatError(f"unknown family {quoted(spec)}; use one of: {known}")
+    args = _integers(argstr, f"family {quoted(spec)}")
     arity, build = _FAMILY_BUILDERS[name]
     if arity is not None and len(args) != arity:
         raise FormatError(f"family {name} takes {arity} argument(s), got {len(args)}")
@@ -107,7 +97,7 @@ def family_graph(spec):
         raise FormatError(f"family {name} needs at least one part size")
     order = sum(args) if arity is None else args[0]
     if order > ORDER_LIMIT:
-        raise FormatError(f"family {_quoted(spec)}: order {order} is above the limit {ORDER_LIMIT}")
+        raise FormatError(f"family {quoted(spec)}: order {order} is above the limit {ORDER_LIMIT}")
     return build(args)
 
 
@@ -121,7 +111,7 @@ def load_graph(spec):
         return from_graph6(spec)
     except FormatError as exc:
         raise FormatError(
-            f"cannot interpret {_quoted(spec)} as a file, family spec, or graph6 string: {exc}"
+            f"cannot interpret {quoted(spec)} as a file, family spec, or graph6 string: {exc}"
         ) from None
 
 
@@ -143,11 +133,11 @@ def build_embedding(parts_spec, host_specs):
     for hs in host_specs or []:
         idx_str, sep, graph_spec = hs.partition("=")
         if not sep:
-            raise FormatError(f"host spec must be 'part=GRAPH', got {_quoted(hs)}")
+            raise FormatError(f"host spec must be 'part=GRAPH', got {quoted(hs)}")
         try:
             idx = int(idx_str)
         except ValueError:
-            raise FormatError(f"non-integer part index in {_quoted(hs)}") from None
+            raise FormatError(f"non-integer part index in {quoted(hs)}") from None
         if not 1 <= idx <= len(sizes):
             raise FormatError(f"part index {idx} out of range 1..{len(sizes)}")
         if hosts[idx - 1] is not None:
@@ -339,7 +329,7 @@ def _cmd_enumerate(args):
         }
     values = _integers(args.embeddings, "--embeddings")
     if len(values) != 3:
-        raise FormatError(f"--embeddings expects n,r,t, got {_quoted(args.embeddings)}")
+        raise FormatError(f"--embeddings expects n,r,t, got {quoted(args.embeddings)}")
     n, r, t = values
     fam = enumerate_embeddings(n, r, t, cache_dir=args.cache_dir)
     members = [

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and an integer check."""
+"""Exception types shared across the package, an integer check, and the
+bounded quote an error message gives of refused input."""
 
 import operator
 
@@ -10,6 +11,16 @@ def indices(values, error, what):
         return tuple(map(operator.index, values))
     except TypeError:
         raise error(f"{what} must be integers") from None
+
+
+QUOTE_LIMIT = 80  # the characters of refused input an error message quotes
+
+
+def quoted(text):
+    """``text`` quoted, or its first ``QUOTE_LIMIT`` characters and its length."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 class GraphError(ValueError):

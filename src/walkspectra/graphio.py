@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, quoted
 from .graphs import Graph
 from .spectral import ORDER_LIMIT
 
@@ -56,11 +56,11 @@ def _edge_list(rows):
     lineno, header = rows[0]
     parts = header.split()
     if len(parts) != 2:
-        raise FormatError(f"expected header 'n m', got {header!r}", line=lineno)
+        raise FormatError(f"expected header 'n m', got {quoted(header)}", line=lineno)
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
-        raise FormatError(f"non-integer header {header!r}", line=lineno) from None
+        raise FormatError(f"non-integer header {quoted(header)}", line=lineno) from None
     if n < 0 or m < 0:
         raise FormatError("n and m must be nonnegative", line=lineno)
     if n > ORDER_LIMIT:
@@ -75,19 +75,19 @@ def _edge_list(rows):
     for lineno, line in rows[1:]:
         parts = line.split()
         if len(parts) != 2:
-            raise FormatError(f"expected 'u v', got {line!r}", line=lineno)
+            raise FormatError(f"expected 'u v', got {quoted(line)}", line=lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise FormatError(f"non-integer endpoints {line!r}", line=lineno) from None
+            raise FormatError(f"non-integer endpoints {quoted(line)}", line=lineno) from None
         if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"endpoint out of range 0..{n - 1}: {line!r}", line=lineno)
+            raise FormatError(f"endpoint out of range 0..{n - 1}: {quoted(line)}", line=lineno)
         if u == v:
             raise FormatError(f"self-loop at vertex {u}", line=lineno)
         edge = (min(u, v), max(u, v))
         if edge in first_line:
             raise FormatError(
-                f"repeated edge {line!r}, first given on line {first_line[edge]}", line=lineno
+                f"repeated edge {quoted(line)}, first given on line {first_line[edge]}", line=lineno
             )
         first_line[edge] = lineno
     return Graph.from_edge_list(n, list(first_line))

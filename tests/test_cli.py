@@ -540,6 +540,23 @@ class TestInputsAndErrors:
         assert f"... ({len(argv[-1])} characters)" in err
         assert len(err.encode()) < 1024
 
+    @pytest.mark.parametrize(
+        "text, head",
+        [
+            ("2 1\n0 " + "x" * 20_000 + "\n", "line 2: non-integer endpoints '0 xxx"),
+            ("2 1\n" + "0 " * 20_000 + "\n", "line 2: expected 'u v', got '0 0 "),
+        ],
+        ids=["endpoints", "edge-line"],
+    )
+    def test_long_refused_file_line_quoted_by_its_head(self, capsys, tmp_path, text, head):
+        source = tmp_path / "long.el"
+        source.write_text(text)
+        code, out, err = run_captured(capsys, ["rho", "--graph", str(source)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: {source}: {head}")
+        assert f"... ({len(text.splitlines()[-1].strip())} characters)" in err
+        assert len(err.encode()) < 1024
+
     def test_unknown_family(self, capsys):
         assert main(["walks", "--family", "hypercube:4", "--depth", "2"]) == EXIT_USAGE
 

@@ -13,6 +13,7 @@ from walkspectra import (
     Graph,
     MultipartiteEmbedding,
     SpectralError,
+    complement,
     complete,
     complete_multipartite,
     cycle,
@@ -192,8 +193,9 @@ def _assert_matches_reference(a, sizes, steps):
 
 
 class TestPowerKernel:
-    # Caps of 3, 16, 17 and 33 steps end runs inside a block of 16 steps,
-    # on its last step and on the first step of the next.
+    # The first blocks are one and two steps long, so a cap of 3 ends a run
+    # on a block's last step, and caps of 8, 16, 17 and 33 end runs inside
+    # the predicted blocks that follow or on their last steps.
     @pytest.mark.parametrize(
         "steps",
         [spectral.MAX_ITERATIONS, 1, 3, 8, 16, 17, 33],
@@ -209,22 +211,6 @@ class TestPowerKernel:
             cases = _random_adjacencies()
         for a, sizes in cases:
             _assert_matches_reference(a, sizes, steps)
-
-    @pytest.mark.parametrize(
-        "graph, steps",
-        [
-            (complete_multipartite((1, 2, 5)), 16),
-            (path(11), 128),
-            (complete_multipartite((1, 2, 6)), 17),
-            (disjoint_union(complete(4), path(3)), 65),
-        ],
-        ids=["K1,2,5-16", "P11-128", "K1,2,6-17", "K4+P3-65"],
-    )
-    def test_convergence_at_either_end_of_a_block(self, graph, steps):
-        # 16 and 128 steps end a block of 16, 17 and 65 begin one.
-        a, sizes = graph.adjacency(float), [1] * graph.n
-        assert reference_power_radius(a, sizes, spectral.MAX_ITERATIONS)[2] == steps
-        assert _assert_matches_reference(a, sizes, spectral.MAX_ITERATIONS).converged
 
     @pytest.mark.parametrize(
         "steps", [spectral.MAX_ITERATIONS, 1, 17], ids=["full", "cap1", "cap17"]
@@ -244,18 +230,33 @@ class TestPowerKernel:
         got = _assert_matches_reference(a, sizes, steps)
         assert (got.rho, got.residual, got.iterations, got.converged) == (0.0, 0.0, 1, True)
 
-    @pytest.mark.parametrize("order, block", [(150, 1), (128, 16)])
-    def test_products_past_the_returned_step(self, monkeypatch, order, block):
-        # Above order 128 each step is tested before the next one's product,
-        # so none is computed past the returned step; up to order 128 the
-        # rest of the returned step's block of 16 is.
-        a = random_connected_graph(random.Random(order), order, 0.3).adjacency(float)
-        products, dot = [], np.dot
-        monkeypatch.setattr(np, "dot", lambda m, *args: products.append(m is a) or dot(m, *args))
-        got = power_radius(a, [1] * order)
+    @pytest.mark.parametrize(
+        "graph, steps, products",
+        [
+            (complete_multipartite((1, 2, 5)), 16, 16),
+            (complete_multipartite((1, 2, 6)), 17, 17),
+            (disjoint_union(complete(4), path(3)), 65, 65),
+            (path(11), 128, 128),
+            (complete(300), 1, 1),
+            (complete_multipartite((100, 200)), 26, 26),
+            (random_connected_graph(random.Random(150), 150, 0.3), 36, 36),
+            (complement(Graph.from_edge_list(8, [(0, 2), (1, 3)])), 16, 17),
+        ],
+        ids=["K1,2,5", "K1,2,6", "K4+P3", "P11", "K300", "K100,200", "G150", "K8-2K2"],
+    )
+    def test_products_past_the_returned_step(self, monkeypatch, graph, steps, products):
+        # Each block after the first two is as long as the residuals' rate
+        # predicts, so a run computes no product past its returned step, at
+        # any order, except where the prediction overshoots: on K8 less two
+        # disjoint edges by one step, and the run returns a row before its
+        # block's last.
+        a = graph.adjacency(float)
+        assert reference_power_radius(a, [1] * graph.n, spectral.MAX_ITERATIONS)[2] == steps
+        counted, dot = [], np.dot
+        monkeypatch.setattr(np, "dot", lambda m, *args: counted.append(m is a) or dot(m, *args))
+        got = _assert_matches_reference(a, [1] * graph.n, spectral.MAX_ITERATIONS)
         assert got.converged
-        assert sum(products) == -(-got.iterations // block) * block
-        assert (sum(products) > got.iterations) == (block > 1)
+        assert sum(counted) == products
 
 
 class TestRhoDense:
