@@ -6,6 +6,8 @@ summarize each end-to-end metric.
 
 ``--workload`` takes one workload, a comma-separated list of them, or
 ``all``, meaning every workload of BENCHMARK.json, run one after another.
+Before the first pair, ``python -m compileall -q src bench`` runs in each
+checkout, so that no run's ``setup_s`` includes compiling its sources.
 For each workload and seed, ``bench/run.py --workload W --seed S --seconds T --trace 0``
 runs in both checkouts, one after the other; the parent runs first on even
 pair indices and the change first on odd ones, so drift in the machine's
@@ -31,8 +33,9 @@ metric and workload whose verdict is ``worse``, or says there is none; the
 exit status is 1 if there is one, else 0.
 
 Compare checkouts in the same kind of place (two sibling directories, say):
-set-up time depends on where a checkout sits.  The script edits nothing;
-the runs write only under each checkout's ``bench/out``.
+set-up time depends on where a checkout sits.  The script edits nothing:
+it writes only byte-compiled files under each checkout's ``__pycache__``
+directories, and the runs write only under its ``bench/out``.
 """
 
 from __future__ import annotations
@@ -111,6 +114,12 @@ def run_once(checkout, workload, seed, seconds):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def byte_compile(checkout):
+    """Byte-compile ``checkout``'s ``src/`` and ``bench/``."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
+                   cwd=checkout, check=True)
+
+
 def line_count(checkout):
     """The newlines in ``checkout``'s ``src/walkspectra/*.py``: the total of
     ``wc -l`` on those files."""
@@ -185,6 +194,8 @@ def main(argv=None):
     p.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = p.parse_args(argv)
 
+    for side in ("parent", "change"):
+        byte_compile(getattr(args, side))
     worse = [
         f"{name} on {workload}"
         for workload in args.workload

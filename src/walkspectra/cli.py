@@ -22,10 +22,9 @@ import os
 import random
 import sys
 
-import numpy as np
-
 from . import __version__
-from .errors import FormatError, GraphError, HypothesisNotMet, SeriesError, SpectralError, quoted
+from .errors import (FormatError, GraphError, HypothesisNotMet, SeriesError, SpectralError,
+                     integer, quoted)
 from .extremal import (
     enumerate_embeddings,
     enumerate_m_edge,
@@ -49,7 +48,7 @@ from .graphs import (
 )
 from .series import solve_rho_series
 from .spectral import ORDER_LIMIT, perron_normalized, rho_dense, rho_power
-from .walks import ex_filter, ex_infinity, walk_compare, walk_profile
+from .walks import ex_filter, ex_infinity, walk_compare, walk_profile, walk_totals
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -74,12 +73,7 @@ _FAMILY_BUILDERS = {
 
 def _integers(text, what):
     """The comma-separated integers of ``text``, empty items skipped."""
-    try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError:
-        raise FormatError(
-            f"{what}: expected comma-separated integers, got {quoted(text)}"
-        ) from None
+    return [integer(x, FormatError, what) for x in text.split(",") if x != ""]
 
 
 def family_graph(spec):
@@ -134,10 +128,7 @@ def build_embedding(parts_spec, host_specs):
         idx_str, sep, graph_spec = hs.partition("=")
         if not sep:
             raise FormatError(f"host spec must be 'part=GRAPH', got {quoted(hs)}")
-        try:
-            idx = int(idx_str)
-        except ValueError:
-            raise FormatError(f"non-integer part index in {quoted(hs)}") from None
+        idx = integer(idx_str, FormatError, "--host part index")
         if not 1 <= idx <= len(sizes):
             raise FormatError(f"part index {idx} out of range 1..{len(sizes)}")
         if hosts[idx - 1] is not None:
@@ -235,10 +226,6 @@ def emit(report, fmt):
     return render_csv(report)
 
 
-def _vector_list(vec):
-    return [float(x) for x in np.asarray(vec)]
-
-
 # ---- subcommand handlers -----------------------------------------------------
 #
 # A handler takes the parsed namespace, in which every flag its mode reads is
@@ -247,15 +234,15 @@ def _vector_list(vec):
 
 def _cmd_walks(args):
     g = _graph_from_args(args)
-    prof = walk_profile(g, args.depth)
-    report = {
-        "n": g.n,
-        "m": g.num_edges,
-        "depth": args.depth,
-        "totals": list(prof.totals),
-    }
+    if args.depth < 1:
+        raise GraphError("depth must be at least 1")
+    report = {"n": g.n, "m": g.num_edges, "depth": args.depth}
     if args.per_vertex:
+        prof = walk_profile(g, args.depth)
+        report["totals"] = list(prof.totals)
         report["per_vertex"] = [list(level) for level in prof.per_vertex]
+    else:  # walk_totals keeps one level at a time, not every level
+        report["totals"] = walk_totals(g, args.depth)
     return EXIT_OK, report
 
 
@@ -299,7 +286,7 @@ def _cmd_perron(args):
     result = perron_normalized(g, subset)
     report = _spectral_report(result)
     report["subset"] = subset
-    report["vector"] = _vector_list(result.vector)
+    report["vector"] = result.vector.tolist()
     return EXIT_OK, report
 
 
@@ -550,6 +537,8 @@ def build_parser():
         description="Graph spectral radii through walk-count series.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # argparse prints an ArgumentTypeError's message after the flag's name.
+    number = functools.partial(integer, error=argparse.ArgumentTypeError)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "table", "csv"), default="json",
@@ -567,7 +556,7 @@ def build_parser():
 
     p = add("walks", "exact walk counts")
     _add_graph_options(p)
-    p.add_argument("--depth", type=int,
+    p.add_argument("--depth", type=number,
                    help="longest walk length counted (default 10)")
     p.add_argument("--per-vertex", action="store_true")
 
@@ -591,32 +580,32 @@ def build_parser():
     p.add_argument("--host", action="append", help="part=GRAPH host spec")
 
     p = add("enumerate", "enumerate graph or embedding families")
-    p.add_argument("--m-edges", type=int, help="m-edge classes, no isolated vertices")
+    p.add_argument("--m-edges", type=number, help="m-edge classes, no isolated vertices")
     p.add_argument("--embeddings", help="n,r,t embedding family")
 
     p = add("exfilter", "iterated most-walks filter")
-    p.add_argument("--m-edges", type=int)
+    p.add_argument("--m-edges", type=number)
     p.add_argument("--family-file", help="graph6 lines file")
-    p.add_argument("--level", type=int)
+    p.add_argument("--level", type=number)
     p.add_argument("--infinity", action="store_true")
 
     p = add("verify", "run a theorem verifier")
     p.add_argument("--theorem", required=True,
                    choices=("lemma-2degree", "cor-2inf", "one-set", "multi-set", "cor-tnrk"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n-min", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--s-size", type=int)
-    p.add_argument("--t-size", type=int)
+    p.add_argument("--n", type=number)
+    p.add_argument("--m", type=number)
+    p.add_argument("--r", type=number)
+    p.add_argument("--k", type=number)
+    p.add_argument("--n-min", type=number)
+    p.add_argument("--n-max", type=number)
+    p.add_argument("--s-size", type=number)
+    p.add_argument("--t-size", type=number)
     p.add_argument("--h1", help="first host: file, family spec, or graph6")
     p.add_argument("--h2", help="second host")
     p.add_argument("--parts", help="part sizes for multi-set")
     p.add_argument("--host", action="append", help="part=GRAPH host spec")
-    p.add_argument("--sample", type=int, help="verify N random embeddings")
-    p.add_argument("--seed", type=int, help="seed for --sample (default 0)")
+    p.add_argument("--sample", type=number, help="verify N random embeddings")
+    p.add_argument("--seed", type=number, help="seed for --sample (default 0)")
 
     return parser
 

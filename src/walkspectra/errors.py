@@ -1,5 +1,5 @@
-"""Exception types shared across the package, an integer check, and the
-bounded quote an error message gives of refused input."""
+"""Exception types shared across the package, an integer check, the one
+reader of integer text from outside, and the bounded quote of refused input."""
 
 import operator
 
@@ -21,6 +21,21 @@ def quoted(text):
     if len(text) <= QUOTE_LIMIT:
         return repr(text)
     return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
+def integer(text, error, what=None):
+    """The int of ``text``, or ``error`` led by ``what``: the one grammar of
+    integer text from outside is surrounding whitespace, an optional ``-``
+    and ASCII digits, so ``int()``'s ``+7``, ``1_0`` and ``٣`` are refused;
+    text with more digits than ``int()`` converts is named too long."""
+    digits = text.strip().removeprefix("-")
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+        reason = f"{quoted(text)} is not an integer"
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        reason = f"an integer of {len(digits)} digits is too long"
+    raise error(reason if what is None else f"{what}: {reason}")
 
 
 class GraphError(ValueError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError, quoted
+from .errors import FormatError, integer, quoted
 from .graphs import Graph
 from .spectral import ORDER_LIMIT
 
@@ -54,13 +54,7 @@ def _edge_list(rows):
         raise FormatError("empty edge-list input")
 
     lineno, header = rows[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise FormatError(f"expected header 'n m', got {quoted(header)}", line=lineno)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise FormatError(f"non-integer header {quoted(header)}", line=lineno) from None
+    n, m = _pair(lineno, header, "header 'n m'", "header")
     if n < 0 or m < 0:
         raise FormatError("n and m must be nonnegative", line=lineno)
     if n > ORDER_LIMIT:
@@ -73,13 +67,7 @@ def _edge_list(rows):
 
     first_line = {}
     for lineno, line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected 'u v', got {quoted(line)}", line=lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"non-integer endpoints {quoted(line)}", line=lineno) from None
+        u, v = _pair(lineno, line, "'u v'", "endpoint")
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"endpoint out of range 0..{n - 1}: {quoted(line)}", line=lineno)
         if u == v:
@@ -91,6 +79,14 @@ def _edge_list(rows):
             )
         first_line[edge] = lineno
     return Graph.from_edge_list(n, list(first_line))
+
+
+def _pair(lineno, line, form, what):
+    """The two integers of an edge-list line of the given form."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise FormatError(f"expected {form}, got {quoted(line)}", line=lineno)
+    return [integer(p, lambda reason: FormatError(reason, line=lineno), what) for p in parts]
 
 
 def format_edge_list(g):
@@ -106,8 +102,7 @@ def read_graph(path):
     if not rows:
         raise FormatError(f"no graph data in {path}")
     lineno, first = rows[0]
-    parts = first.split()
-    if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
+    if len(first.split()) == 2:  # a graph6 record holds no whitespace
         try:
             return _edge_list(rows)
         except FormatError as exc:

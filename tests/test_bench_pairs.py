@@ -1,6 +1,6 @@
 """The summary arithmetic of scripts/bench_pairs.py: quartiles, wins and
-the verdict rules, its source line count, its workload list and its exit
-status."""
+the verdict rules, its source line count, its workload list, its
+byte-compiling step and its exit status."""
 
 import argparse
 import json
@@ -9,7 +9,14 @@ import os
 import pytest
 
 import bench_pairs
-from bench_pairs import line_count, parse_seeds, parse_workloads, quartiles, summarize
+from bench_pairs import (
+    byte_compile,
+    line_count,
+    parse_seeds,
+    parse_workloads,
+    quartiles,
+    summarize,
+)
 
 TASKS = {"name": "tasks_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}
 P50 = {"name": "task_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}
@@ -85,6 +92,15 @@ def test_line_count_totals_newlines_like_wc(tmp_path):
     assert line_count(tmp_path / "missing") == 0
 
 
+def test_byte_compile_covers_src_and_bench(tmp_path):
+    for part in ("src/walkspectra", "bench", "tests"):
+        (tmp_path / part).mkdir(parents=True)
+        (tmp_path / part / "m.py").write_text("x = 1\n")
+    byte_compile(tmp_path)
+    compiled = sorted(str(p.relative_to(tmp_path).parent) for p in tmp_path.rglob("*.pyc"))
+    assert compiled == ["bench/__pycache__", "src/walkspectra/__pycache__"]
+
+
 with open(os.path.join(bench_pairs.ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
     BENCH = json.load(fh)
 NAMES = ["tnrk-scan", "onset-scan", "series-certify", "families-cli"]
@@ -133,8 +149,12 @@ def test_exit_status_names_every_worse_verdict(monkeypatch, capsys, slower, stat
         return metrics
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "byte_compile", lambda checkout: print(f"compiled {checkout}"))
     assert bench_pairs.main(["parent", "change", "--workload", "all", "--seeds", "1-3"]) == status
     out = capsys.readouterr().out.splitlines()
+    # Both checkouts are compiled before the first pair runs.
+    assert out[:2] == ["compiled parent", "compiled change"]
+    assert out[2].startswith("pair 1 seed 1 ")
     assert out[-1] == last
     assert [line.split(":")[0] for line in out if ": 3 pairs" in line] == NAMES
 

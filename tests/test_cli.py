@@ -11,7 +11,9 @@ import pytest
 
 from conftest import edgeless_graph6
 from report_digest import README_FILES, readme_cli_section, readme_commands
-from walkspectra import __version__, cli, extremal
+from walkspectra import __version__, cli, complete, extremal, walk_profile
+from walkspectra.errors import FormatError, quoted
+from walkspectra.graphio import parse_edge_list, read_graph
 from walkspectra.spectral import ORDER_LIMIT
 from walkspectra.cli import (
     EXIT_FAIL,
@@ -63,6 +65,23 @@ class TestWalks:
         code, rep = run_json(capsys, ["walks", "--graph6", "Bw", "--depth", "3"])
         assert code == EXIT_OK
         assert rep["totals"] == [6, 12, 24]
+
+    def test_totals_hold_one_level_at_a_time(self, capsys):
+        # Without --per-vertex only the totals are printed, so the command
+        # keeps one level of per-vertex counts, not all of them: the 100
+        # levels of walk_profile(complete(100), 100) peak at about 0.9 MB.
+        main(["walks", "--family", "star:3", "--depth", "2"])  # builds the shared parser
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(["walks", "--family", "complete:100", "--depth", "100"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["totals"] == list(walk_profile(complete(100), 100).totals)
+        assert peak < 2**19
 
 
 class TestCompare:
@@ -494,15 +513,11 @@ class TestInputsAndErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            ("solve-series --parts 3,x",
-             "--parts: expected comma-separated integers, got '3,x'"),
-            ("perron --family star:5 --subset 0,a",
-             "--subset: expected comma-separated integers, got '0,a'"),
+            ("solve-series --parts 3,x", "--parts: 'x' is not an integer"),
+            ("perron --family star:5 --subset 0,a", "--subset: 'a' is not an integer"),
             ("enumerate --embeddings 10,2", "--embeddings expects n,r,t, got '10,2'"),
-            ("enumerate --embeddings 10,2,x",
-             "--embeddings: expected comma-separated integers, got '10,2,x'"),
-            ("rho --family turan:7,x",
-             "family 'turan:7,x': expected comma-separated integers, got '7,x'"),
+            ("enumerate --embeddings 10,2,x", "--embeddings: 'x' is not an integer"),
+            ("rho --family turan:7,x", "family 'turan:7,x': 'x' is not an integer"),
         ],
         ids=["parts", "subset", "embeddings-count", "embeddings-integer", "family"],
     )
@@ -520,41 +535,126 @@ class TestInputsAndErrors:
         assert err.startswith(f"error: cannot interpret {quoted} as a file, family spec, ")
 
     @pytest.mark.parametrize(
-        "argv, head",
+        "argv, head, length",
         [
             (["rho", "--family", "complete_multipartite:" + "1," * 20_000],
-             "family 'complete_multipartite:1,1,"),
-            (["rho", "--family", "hypercube:" + "1," * 20_000], "unknown family 'hypercube:1,"),
-            (["solve-series", "--parts", "1," * 20_000 + "x"],
-             "--parts: expected comma-separated integers, got '1,1,"),
+             "family 'complete_multipartite:1,1,", 40_022),
+            (["rho", "--family", "hypercube:" + "1," * 20_000],
+             "unknown family 'hypercube:1,", 40_010),
+            (["solve-series", "--parts", "1," * 20_000 + "x" * 20_000],
+             "--parts: 'xxx", 20_000),
             (["solve-series", "--parts", "3,3", "--host", "x" * 20_000 + "=K3"],
-             "non-integer part index in 'xxx"),
-            (["enumerate", "--embeddings", "1," * 20_000], "--embeddings expects n,r,t, got '1,1,"),
+             "--host part index: 'xxx", 20_000),
+            (["enumerate", "--embeddings", "1," * 20_000],
+             "--embeddings expects n,r,t, got '1,1,", 40_000),
         ],
         ids=["family-order", "family-name", "parts", "host", "embeddings"],
     )
-    def test_long_refused_argument_quoted_by_its_head(self, capsys, argv, head):
+    def test_long_refused_argument_quoted_by_its_head(self, capsys, argv, head, length):
         code, out, err = run_captured(capsys, argv)
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith(f"error: {head}")
-        assert f"... ({len(argv[-1])} characters)" in err
+        assert f"... ({length} characters)" in err
         assert len(err.encode()) < 1024
 
     @pytest.mark.parametrize(
-        "text, head",
+        "text, head, length",
         [
-            ("2 1\n0 " + "x" * 20_000 + "\n", "line 2: non-integer endpoints '0 xxx"),
-            ("2 1\n" + "0 " * 20_000 + "\n", "line 2: expected 'u v', got '0 0 "),
+            ("2 1\n0 " + "x" * 20_000 + "\n", "line 2: endpoint: 'xxx", 20_000),
+            ("2 1\n" + "0 " * 20_000 + "\n", "line 2: expected 'u v', got '0 0 ", 39_999),
         ],
         ids=["endpoints", "edge-line"],
     )
-    def test_long_refused_file_line_quoted_by_its_head(self, capsys, tmp_path, text, head):
+    def test_long_refused_file_line_quoted_by_its_head(
+        self, capsys, tmp_path, text, head, length
+    ):
         source = tmp_path / "long.el"
         source.write_text(text)
         code, out, err = run_captured(capsys, ["rho", "--graph", str(source)])
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith(f"error: {source}: {head}")
-        assert f"... ({len(text.splitlines()[-1].strip())} characters)" in err
+        assert f"... ({length} characters)" in err
+        assert len(err.encode()) < 1024
+
+    # Each text of integers from outside, with its verdict under the one
+    # grammar: surrounding whitespace, an optional '-', ASCII digits.
+    INTEGER_TEXTS = {
+        "7": "integer",
+        " 7 ": "integer",
+        "-7": "integer",
+        "+7": "not an integer",
+        "1_0": "not an integer",
+        "\u0663": "not an integer",  # ARABIC-INDIC DIGIT THREE
+        "7x": "not an integer",
+        "1" * 5000: "too long",
+    }
+    # Every command-line entry point of integer text; '=' keeps argparse
+    # from reading a leading '-' as a flag.
+    INTEGER_ARGUMENTS = {
+        "--parts": ["solve-series", "--parts=2,{}"],
+        "--host": ["solve-series", "--parts=3,3,3,3,3,3,3", "--host={}=complete:3"],
+        "family": ["rho", "--family=star:{}"],
+        "--embeddings": ["enumerate", "--embeddings={},2,1"],
+        "--subset": ["perron", "--family=star:8", "--subset={}"],
+        "--depth": ["walks", "--family=star:3", "--depth={}"],
+    }
+    # Edge-list files: a header, then an endpoint.
+    INTEGER_LINES = {"header": "{} 0\n", "endpoint": "8 1\n0 {}\n"}
+
+    @staticmethod
+    def integer_verdict(message):
+        if "digits is too long" in message:
+            return "too long"
+        return "not an integer" if "is not an integer" in message else "integer"
+
+    @pytest.mark.parametrize(
+        "text",
+        list(INTEGER_TEXTS),
+        ids=["7", "spaced-7", "minus-7", "plus-7", "underscore", "arabic-indic", "7x", "long"],
+    )
+    def test_one_integer_grammar_everywhere(self, capsys, tmp_path, text):
+        verdicts = {}
+        for name, argv in self.INTEGER_ARGUMENTS.items():
+            code, out, err = run_captured(capsys, [a.format(text) for a in argv])
+            verdicts[name] = self.integer_verdict(err)
+            assert len(err.encode()) < 1024
+            if verdicts[name] == "integer":
+                stripped = [a.format(text.strip()) for a in argv]
+                assert (code, out, err) == run_captured(capsys, stripped)
+        source = tmp_path / "g.el"
+        for name, line in self.INTEGER_LINES.items():
+            source.write_text(line.format(text), encoding="utf-8")
+            for reader, arg in ((parse_edge_list, line.format(text)), (read_graph, source)):
+                try:
+                    reader(arg)
+                    message = ""
+                except FormatError as exc:
+                    message = str(exc)
+                verdicts[f"{name} through {reader.__name__}"] = self.integer_verdict(message)
+                assert len(message.encode()) < 1024
+        assert verdicts == dict.fromkeys(verdicts, self.INTEGER_TEXTS[text])
+
+    @pytest.mark.parametrize(
+        "argv, tail",
+        [
+            (["solve-series", "--parts", "3,3", "--host", "1" * 5000 + "=K3"],
+             "error: --host part index: an integer of 5000 digits is too long\n"),
+            (["rho", "--family", "star:" + "1" * 5000],
+             f"error: family {quoted('star:' + '1' * 5000)}: an integer of 5000 digits is too long\n"),
+            (["rho", "--graph", "{file}"],
+             "error: {file}: line 1: header: an integer of 20000 digits is too long\n"),
+            (["verify", "--theorem", "cor-2inf", "--m", "1" * 5000],
+             "walkspectra verify: error: argument --m: an integer of 5000 digits is too long\n"),
+        ],
+        ids=["host", "family", "edge-list-header", "flag"],
+    )
+    def test_long_integer_named_too_long(self, capsys, tmp_path, argv, tail):
+        source = tmp_path / "nines.el"
+        source.write_text("1 " + "9" * 20_000 + "\n")
+        argv = [a.replace("{file}", str(source)) for a in argv]
+        code, out, err = run_captured(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith(tail.replace("{file}", str(source)))
         assert len(err.encode()) < 1024
 
     def test_unknown_family(self, capsys):

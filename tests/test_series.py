@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import (
     exact_part_sum,
     frac_geq,
     frac_leq,
+    random_graph,
 )
 from walkspectra import (
     HypothesisNotMet,
@@ -546,6 +548,19 @@ class TestSolve:
             eig = eig_rho(e.realize())
             assert res.bracket[0] <= eig <= res.bracket[1]
             done += 1
+
+    @pytest.mark.parametrize(
+        "host",
+        [complete(100), random_graph(random.Random(100), 100, 0.1)],
+        ids=["complete-100", "gnp-100"],
+    )
+    def test_large_host(self, host):
+        # The float probe solves these in tens of milliseconds; an exact
+        # rational probe would take seconds on a host this large.
+        e = MultipartiteEmbedding((120, 120), (host, None))
+        res = solve_rho_series(e)
+        assert res.converged
+        assert res.bracket[0] <= eig_rho(e.realize()) <= res.bracket[1]
 
     def test_first_probe_on_the_root(self):
         # K_{1,4}: the bracket is (0, 4], so the first probe is rho = 2
