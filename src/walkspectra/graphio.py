@@ -86,7 +86,8 @@ def _pair(lineno, line, form, what):
     parts = line.split()
     if len(parts) != 2:
         raise FormatError(f"expected {form}, got {quoted(line)}", line=lineno)
-    return [integer(p, lambda reason: FormatError(reason, line=lineno), what) for p in parts]
+    error = lambda reason: FormatError(reason, line=lineno)
+    return integer(parts[0], error, what), integer(parts[1], error, what)
 
 
 def format_edge_list(g):
