@@ -28,7 +28,12 @@ verdict:
   within      none of the above: no worse than the bound.
 
 Beside each summary it prints each checkout's line count of
-``src/walkspectra/*.py``, as ``wc -l`` totals it.  The last line names each
+``src/walkspectra/*.py``, as ``wc -l`` totals it, and each side's median
+count of tasks a run attempted, with the change in median ``peak_rss_mb``
+per extra task and the extra tasks that would use up the metric's bound at
+that rate: a faster change runs more tasks in the same time, and on
+workloads whose memory grows with the tasks it has run, that moves
+``peak_rss_mb`` toward its bound.  The last line names each
 metric and workload whose verdict is ``worse``, or says there is none; the
 exit status is 1 if there is one, else 0.
 
@@ -99,8 +104,25 @@ def summarize(pairs, spec):
     return out
 
 
+def rss_per_task(pairs, bound):
+    """(parent tasks, change tasks, KB of ``peak_rss_mb`` per extra task,
+    extra tasks to the bound) over ``pairs``: the median ``attempted``
+    counts, the change in median ``peak_rss_mb`` (MB of 1024 KB) over the
+    change in median count, and ``bound`` times the parent's median RSS
+    over that rate.  The last two are None when the counts or the RSS do
+    not grow."""
+    tasks = [statistics.median(side["attempted"] for side in sides) for sides in zip(*pairs)]
+    rss = [statistics.median(side["peak_rss_mb"] for side in sides) for sides in zip(*pairs)]
+    extra, grown = tasks[1] - tasks[0], rss[1] - rss[0]
+    if extra <= 0 or grown <= 0:
+        return tasks[0], tasks[1], None, None
+    per_task = 1024.0 * grown / extra
+    return tasks[0], tasks[1], per_task, 1024.0 * bound * rss[0] / per_task
+
+
 def run_once(checkout, workload, seed, seconds):
-    """The metric values of one untraced run in ``checkout``."""
+    """The metric values of one untraced run in ``checkout``, and the
+    count of tasks it attempted under ``attempted``."""
     done = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -111,7 +133,9 @@ def run_once(checkout, workload, seed, seconds):
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         raise SystemExit(f"no result from {checkout} at seed {seed}:\n{done.stderr}") from None
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    values["attempted"] = result["attempted"]
+    return values
 
 
 def byte_compile(checkout):
@@ -171,6 +195,12 @@ def compare(args, workload, spec):
     lines = {side: line_count(getattr(args, side)) for side in ("parent", "change")}
     print(f"  src lines    parent {lines['parent']}  change {lines['change']}  "
           f"{lines['change'] - lines['parent']:+d}")
+    bound = next(m["bound"] for m in spec if m["name"] == "peak_rss_mb")
+    p_tasks, c_tasks, per_task, headroom = rss_per_task(pairs, bound)
+    growth = "n/a" if per_task is None else (
+        f"{per_task:.2f} KB per extra task, {headroom:.0f} extra tasks to the bound")
+    print(f"  tasks        parent {p_tasks:g}  change {c_tasks:g}  {c_tasks - p_tasks:+g}; "
+          f"peak_rss_mb {growth}")
     summary = summarize(pairs, spec)
     for name, s in summary.items():
         (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]

@@ -23,8 +23,8 @@ import random
 import sys
 
 from . import __version__
-from .errors import (FormatError, GraphError, HypothesisNotMet, SeriesError, SpectralError,
-                     integer, quoted)
+from .errors import (QUOTE_LIMIT, FormatError, GraphError, HypothesisNotMet, SeriesError,
+                     SpectralError, integer, quoted)
 from .extremal import (
     enumerate_embeddings,
     enumerate_m_edge,
@@ -56,6 +56,14 @@ EXIT_USAGE = 2
 EXIT_INAPPLICABLE = 3
 
 CACHE_ENV = "WALKSPECTRA_CACHE"
+
+# The most levels `walks --depth` counts: star:3 takes 0.2 s and 76 MB peak
+# RSS at the limit, 0.7 s and 147 MB with --per-vertex (on a 2-vCPU VM).
+DEPTH_LIMIT = 10_000
+# The most values of n a one-set or cor-tnrk scan takes from --n-min..--n-max:
+# at the limit, one-set on the hosts complete:3 and star:4 takes 3.4 s and
+# 34 MB peak RSS, and cor-tnrk with r = 2, k = 4 from n = 8 takes 22 s and 48 MB.
+N_RANGE_LIMIT = 10_000
 
 
 # ---- graph input ------------------------------------------------------------
@@ -233,9 +241,11 @@ def emit(report, fmt):
 
 
 def _cmd_walks(args):
-    g = _graph_from_args(args)
     if args.depth < 1:
         raise GraphError("depth must be at least 1")
+    if args.depth > DEPTH_LIMIT:
+        raise GraphError(f"depth must be at most {DEPTH_LIMIT}")
+    g = _graph_from_args(args)
     report = {"n": g.n, "m": g.num_edges, "depth": args.depth}
     if args.per_vertex:
         prof = walk_profile(g, args.depth)
@@ -376,9 +386,16 @@ def _verify_cor_2inf(args):
     return _single(verify_corollary_2inf(args.m, cache_dir=args.cache_dir))
 
 
+def _n_range(n_min, n_max):
+    """``range(n_min, n_max + 1)``, refused above ``N_RANGE_LIMIT`` values."""
+    if n_max - n_min >= N_RANGE_LIMIT:
+        raise FormatError(f"--n-min..--n-max holds more than {N_RANGE_LIMIT} values")
+    return range(n_min, n_max + 1)
+
+
 def _verify_one_set(args):
+    n_range = _n_range(args.n_min, args.n_max)
     h1, h2 = load_graph(args.h1), load_graph(args.h2)
-    n_range = range(args.n_min, args.n_max + 1)
     return _single(verify_one_set(args.s_size, args.t_size, h1, h2, n_range))
 
 
@@ -418,7 +435,7 @@ def _verify_tnrk_scan(args):
         raise FormatError(f"empty n range {n_min}..{args.n_max}")
     reports = []
     onset = None
-    for n in range(n_min, args.n_max + 1):
+    for n in _n_range(n_min, args.n_max):
         rep = verify_corollary_tnrk(n, args.r, args.k, cache_dir=args.cache_dir).as_dict()
         reports.append(rep)
         onset = None if rep["verdict"] != "pass" else (onset if onset is not None else n)
@@ -519,6 +536,23 @@ class _Parser(argparse.ArgumentParser):
         if message:
             self._print_message(message, sys.stderr)
         raise _ParserExit(status)
+
+    # argparse's messages for a refused choice and for unrecognized
+    # arguments, with the refused text quoted by its head when it is long.
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {quoted(value)} (choose from {choices})"
+            )
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            text = " ".join(extra)
+            shown = text if len(text) <= QUOTE_LIMIT else quoted(text)
+            self.error(f"unrecognized arguments: {shown}")
+        return args
 
 
 def _add_graph_options(sub):

@@ -9,6 +9,7 @@ for small graphs, and the comparisons below certify strict inequalities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -130,6 +131,8 @@ def ex_filter(family, level):
     Round i keeps, among the survivors of round i-1, exactly the graphs with
     the maximum total count of i-walks.  Ties are kept; the input order is
     preserved.  Deduplication by canonical form is the caller's choice.
+    Rounds past 2 * max order discard nothing (see :func:`ex_infinity`), so
+    they are not run.
     """
     family = list(family)
     if not family:
@@ -137,7 +140,7 @@ def ex_filter(family, level):
     if level < 1:
         raise GraphError("level must be at least 1")
     survivors = [(g, _level_iter(g)) for g in family]
-    for _ in range(level):
+    for _ in range(min(level, 2 * max(g.n for g in family))):
         scored = [(g, it, sum(next(it))) for g, it in survivors]
         top = max(w for _, _, w in scored)
         survivors = [(g, it) for g, it, w in scored if w == top]
@@ -152,10 +155,4 @@ def ex_infinity(family):
     to the sum of their orders agree at every level (see walk_compare), so
     no later round can discard anything.
     """
-    family = list(family)
-    if not family:
-        raise GraphError("family must be nonempty")
-    bound = 2 * max(g.n for g in family)
-    if bound == 0:
-        return family
-    return ex_filter(family, bound)
+    return ex_filter(family, math.inf)

@@ -1,6 +1,6 @@
 """The summary arithmetic of scripts/bench_pairs.py: quartiles, wins and
-the verdict rules, its source line count, its workload list, its
-byte-compiling step and its exit status."""
+the verdict rules, task counts and RSS per extra task, its source line
+count, its workload list, its byte-compiling step and its exit status."""
 
 import argparse
 import json
@@ -15,6 +15,7 @@ from bench_pairs import (
     parse_seeds,
     parse_workloads,
     quartiles,
+    rss_per_task,
     summarize,
 )
 
@@ -74,6 +75,25 @@ def test_spread_wider_than_the_bound_is_unresolved():
     skewed = [99.0, 100.0, 101.0, 300.0]
     s = summarize(pairs(skewed, [98.5] * 4, P50), [P50])["task_p50_ms"]
     assert (s["wins"], s["verdict"]) == (4, "within")
+
+
+def runs(attempted, rss):
+    return [{"attempted": a, "peak_rss_mb": r} for a, r in zip(attempted, rss)]
+
+
+def test_rss_per_extra_task():
+    # Medians: 1000 tasks at 50 MB, then 1200 tasks at 51 MB.  1024 KB over
+    # 200 extra tasks is 5.12 KB a task, and a 10% bound (5 MB) allows
+    # 5120 / 5.12 = 1000 extra tasks.
+    parent = runs([990, 1000, 1010], [49.0, 50.0, 60.0])
+    change = runs([1200, 1150, 1300], [51.0, 50.5, 52.0])
+    assert rss_per_task(list(zip(parent, change)), 0.1) == (1000, 1200, 5.12, 1000.0)
+    # No extra tasks, or no extra memory: no rate.
+    assert rss_per_task(list(zip(parent, parent)), 0.1) == (1000, 1000, None, None)
+    fewer = runs([900, 900, 900], [55.0, 55.0, 55.0])
+    assert rss_per_task(list(zip(parent, fewer)), 0.1) == (1000, 900, None, None)
+    leaner = runs([1200, 1200, 1200], [40.0, 40.0, 40.0])
+    assert rss_per_task(list(zip(parent, leaner)), 0.1) == (1000, 1200, None, None)
 
 
 @pytest.mark.parametrize("text, seeds", [("101-103", [101, 102, 103]), ("7", [7])])
@@ -144,8 +164,10 @@ def test_exit_status_names_every_worse_verdict(monkeypatch, capsys, slower, stat
     # tasks_per_s; every other metric is the same on both sides.
     def run_once(checkout, workload, seed, seconds):
         metrics = {m["name"]: 1.0 for m in BENCH["end_to_end"]}
+        metrics["attempted"] = 100
         if checkout == "change":
             metrics["tasks_per_s"] = slower.get(workload, 1.0)
+            metrics["attempted"] = round(100 * slower.get(workload, 1.0))
         return metrics
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
@@ -157,4 +179,12 @@ def test_exit_status_names_every_worse_verdict(monkeypatch, capsys, slower, stat
     assert out[2].startswith("pair 1 seed 1 ")
     assert out[-1] == last
     assert [line.split(":")[0] for line in out if ": 3 pairs" in line] == NAMES
+    # Each workload's task counts; RSS does not grow, so there is no rate.
+    tasks = [line.split(";")[0] for line in out if line.startswith("  tasks ")]
+    assert tasks == [
+        f"  tasks        parent 100  change {round(100 * slower.get(w, 1.0))}  "
+        f"{round(100 * slower.get(w, 1.0)) - 100:+d}"
+        for w in NAMES
+    ]
+    assert all(line.endswith("; peak_rss_mb n/a") for line in out if line.startswith("  tasks "))
 

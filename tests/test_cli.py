@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import edgeless_graph6
 from report_digest import README_FILES, readme_cli_section, readme_commands
-from walkspectra import __version__, cli, complete, extremal, walk_profile
+from walkspectra import __version__, cli, complete, extremal, walk_profile, walks
 from walkspectra.errors import FormatError, quoted
 from walkspectra.graphio import parse_edge_list, read_graph
 from walkspectra.spectral import ORDER_LIMIT
@@ -201,6 +202,21 @@ class TestExFilter:
         )
         assert code == EXIT_OK
         assert rep["survivors"] == ["Bw"]
+
+    def test_level_past_the_bound(self, capsys, monkeypatch):
+        # The m = 3 classes have at most 6 vertices, so rounds past 12 are
+        # not run (each graph's levels run out after 12 here): a level of
+        # 10**8 gives the --infinity survivors at once and echoes the level.
+        level_iter = walks._level_iter
+        monkeypatch.setattr(walks, "_level_iter", lambda g: itertools.islice(level_iter(g), 12))
+        reports = {
+            flag: run_json(capsys, ["exfilter", "--m-edges", "3", *flag.split()])
+            for flag in ("--level 100000000", "--level 13", "--infinity")
+        }
+        assert {code for code, _ in reports.values()} == {EXIT_OK}
+        survivors = [rep.pop("survivors") for _, rep in reports.values()]
+        assert survivors == [["Bw"]] * 3
+        assert [rep["level"] for _, rep in reports.values()] == [100000000, 13, "infinity"]
 
 
 class TestVerify:
@@ -742,6 +758,62 @@ class TestInputsAndErrors:
         argv = ["verify", "--theorem", "multi-set", "--sample", sample]
         assert main(argv) == EXIT_USAGE
         assert "--sample must be at least 1" in capsys.readouterr().err
+
+    ONE_SET = "verify --theorem one-set --s-size 3 --t-size 4 --h1 complete:3 --h2 star:4"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("walks --family star:3 --depth 100000000", "depth must be at most 10000"),
+            ("walks --family star:3 --depth 10001 --per-vertex", "depth must be at most 10000"),
+            (ONE_SET + " --n-min 7 --n-max 1000000000000",
+             "--n-min..--n-max holds more than 10000 values"),
+            (ONE_SET + " --n-min 7 --n-max 10007", "--n-min..--n-max holds more than 10000 values"),
+            ("verify --theorem cor-tnrk --r 2 --k 4 --n-max 1000000000000",
+             "--n-min..--n-max holds more than 10000 values"),
+            ("verify --theorem cor-tnrk --r 2 --k 4 --n-min 8 --n-max 10008",
+             "--n-min..--n-max holds more than 10000 values"),
+        ],
+        ids=["depth", "depth-past-limit", "one-set", "one-set-past-limit", "cor-tnrk",
+             "cor-tnrk-past-limit"],
+    )
+    def test_count_limits_refused_before_counting(self, capsys, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted past the limit")
+
+        for name in ("walk_totals", "walk_profile", "verify_one_set", "verify_corollary_tnrk"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert (cli.DEPTH_LIMIT, cli.N_RANGE_LIMIT) == (10_000, 10_000)
+        code, out, err = run_captured(capsys, argv.split())
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_count_limits_admit_the_limit(self, capsys):
+        assert cli._n_range(7, 10006) == range(7, 10007)
+        code, rep = run_json(capsys, ["walks", "--family", "star:3", "--depth", "10000"])
+        assert (code, len(rep["totals"])) == (EXIT_OK, 10_000)
+        # One large n is one value of n.
+        argv = self.ONE_SET.split() + ["--n-min", "1000000000000", "--n-max", "1000000000000"]
+        code, rep = run_json(capsys, argv)
+        assert code in (EXIT_OK, EXIT_FAIL)
+        assert [n for n, _ in rep["details"]["diffs"]] == [10**12]
+
+    @pytest.mark.parametrize(
+        "argv, tail",
+        [
+            (["verify", "--theorem", "x" * 5000], "(5000 characters) (choose from 'lemma-2degree', "),
+            (["rho", "--method", "x" * 5000], "(5000 characters) (choose from 'power', "),
+            (["rho", "--family", "star:3", "--format", "x" * 5000],
+             "(5000 characters) (choose from 'json', "),
+            (["walks", "--family", "star:3", "--bogus", "x" * 5000],
+             "unrecognized arguments: '--bogus xxx"),
+        ],
+        ids=["theorem", "method", "format", "unrecognized"],
+    )
+    def test_long_argparse_refusal_quoted_by_its_head(self, capsys, argv, tail):
+        code, out, err = run_captured(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert tail in err
+        assert len(err.encode()) < 1024
 
     def test_walk_depth_positive(self, capsys):
         assert main(["walks", "--family", "star:3", "--depth", "0"]) == EXIT_USAGE

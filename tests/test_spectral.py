@@ -154,6 +154,10 @@ def reference_power_radius(a, sizes, max_iterations):
     return rho, res, iterations, False, x
 
 
+# The one-set embedding of P4 beside a clique of 3 at n = 50.
+ONE_SET = MultipartiteEmbedding((1, 1, 1, 47), (None, None, None, path(4)))
+
+
 def _one_set_quotients():
     """The one-set quotients of the onset table's host pairs (clique of 3)
     at n = s+t, s+t+1, 50, 200 and 10^9."""
@@ -193,9 +197,10 @@ def _assert_matches_reference(a, sizes, steps):
 
 
 class TestPowerKernel:
-    # The first blocks are one and two steps long, so a cap of 3 ends a run
-    # on a block's last step, and caps of 8, 16, 17 and 33 end runs inside
-    # the predicted blocks that follow or on their last steps.
+    # A cap of at most 16 steps is one block, so caps of 1, 3, 8 and 16 run
+    # every step before one stop test.  Above that the first blocks are one
+    # and two steps long, and caps of 17 and 33 end runs inside the
+    # predicted blocks that follow or on their last steps.
     @pytest.mark.parametrize(
         "steps",
         [spectral.MAX_ITERATIONS, 1, 3, 8, 16, 17, 33],
@@ -256,6 +261,36 @@ class TestPowerKernel:
         monkeypatch.setattr(np, "dot", lambda m, *args: counted.append(m is a) or dot(m, *args))
         got = _assert_matches_reference(a, [1] * graph.n, spectral.MAX_ITERATIONS)
         assert got.converged
+        assert sum(counted) == products
+
+    @pytest.mark.parametrize(
+        "member, steps, iterations, products",
+        [
+            (ONE_SET, 8, 8, 8),
+            (complete(300), 8, 1, 8),
+            (complete(300), 16, 1, 16),
+            (complete(300), 17, 1, 1),
+            (ONE_SET, 17, 17, 17),
+        ],
+        ids=["one-set-cap8", "K300-cap8", "K300-cap16", "K300-cap17", "one-set-cap17"],
+    )
+    def test_capped_run_is_one_block(self, monkeypatch, member, steps, iterations, products):
+        # A cap of at most 16 steps is one block with one stop test, so it
+        # costs every step it allows: 8 products for a one-set quotient,
+        # which converges at step 29, and 8 for K300, which converges at
+        # step 1.  A cap of 17 keeps the 1, 2, predicted schedule, and K300
+        # stops after its first product.
+        if isinstance(member, MultipartiteEmbedding):
+            a, sizes = member.quotient()
+        else:
+            a, sizes = member.adjacency(float), [1] * member.n
+        assert reference_power_radius(a, sizes, spectral.MAX_ITERATIONS)[2] == (
+            29 if member is ONE_SET else 1
+        )
+        counted, dot = [], np.dot
+        monkeypatch.setattr(np, "dot", lambda m, *args: counted.append(m is a) or dot(m, *args))
+        got = _assert_matches_reference(a, sizes, steps)
+        assert got.iterations == iterations
         assert sum(counted) == products
 
 

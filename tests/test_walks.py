@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from walkspectra import (
     walk_profile,
     walk_totals,
 )
+from walkspectra import walks
 from walkspectra.extremal import enumerate_m_edge
 
 
@@ -179,6 +182,17 @@ class TestExFilters:
         survivors = ex_infinity(fam)
         assert len(survivors) == 1
         assert sorted(survivors[0].degrees, reverse=True) == [4, 1, 1, 1, 1]
+
+    def test_rounds_stop_at_the_stabilization_bound(self, monkeypatch):
+        # The m = 3 classes have at most 6 vertices, so no round past 12 can
+        # discard a graph; each graph's levels run out after 12 here, so a
+        # run of a later round would raise StopIteration.
+        fam = enumerate_m_edge(3).members
+        level_iter = walks._level_iter
+        monkeypatch.setattr(walks, "_level_iter", lambda g: itertools.islice(level_iter(g), 12))
+        survivors = ex_filter(fam, 10**8)
+        assert survivors == ex_filter(fam, 13) == ex_infinity(fam)
+        assert [g.degrees for g in survivors] == [(2, 2, 2)]
 
     def test_filters_nest(self, rng):
         fam = enumerate_m_edge(5).members
