@@ -177,10 +177,21 @@ def render_json(value, level=0):
     if value is None:
         return "null"
     if isinstance(value, int):
-        return str(value)
+        return _int_str(value)
     if isinstance(value, float):
         return _fmt_float(value)
     return json.dumps(str(value))
+
+
+def _int_str(v):
+    """An int's decimal digits at any length; str() refuses one of more than
+    sys.get_int_max_str_digits() digits (4,300 by default)."""
+    try:
+        return str(v)
+    except ValueError:
+        import decimal  # only counts past that limit need it
+
+        return str(decimal.Decimal(v))
 
 
 def _flatten(value, prefix=""):
@@ -206,6 +217,8 @@ def _scalar_str(v):
         return ""
     if isinstance(v, float):
         return _fmt_float(v)
+    if isinstance(v, int):
+        return _int_str(v)
     return str(v)
 
 
@@ -566,9 +579,12 @@ def build_parser():
     """The argument parser, built on first use and shared by every call: it
     holds no per-invocation state, and building it costs far more than a
     parse."""
+    # Without abbreviations a flag's prefix is refused as unrecognized, never
+    # read as the flag nor echoed whole in argparse's ambiguous-option message.
     parser = _Parser(
         prog="walkspectra",
         description="Graph spectral radii through walk-count series.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     # argparse prints an ArgumentTypeError's message after the flag's name.
@@ -586,7 +602,7 @@ def build_parser():
     def add(name, help_):
         # A flag not given stays out of the namespace: _handler sees what was given.
         return subs.add_parser(name, parents=[common], help=help_,
-                               argument_default=argparse.SUPPRESS)
+                               argument_default=argparse.SUPPRESS, allow_abbrev=False)
 
     p = add("walks", "exact walk counts")
     _add_graph_options(p)

@@ -14,6 +14,7 @@ so callers can scan parameter ranges and observe onset thresholds.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import os
 import sys
@@ -22,8 +23,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import FormatError, GraphError, SeriesError, SpectralError, indices
-from .graphio import graph6_lines, graph6_record, to_graph6, write_graph6
+from .errors import GraphError, SeriesError, SpectralError, indices
+from .graphio import from_graph6, to_graph6, write_graph6
 from .graphs import (
     MultipartiteEmbedding,
     canonical_form,
@@ -51,9 +52,6 @@ __all__ = [
 ]
 
 M_EDGE_LIMIT = 7
-# Isomorphism classes of m-edge graphs without isolated vertices, m = 1..7
-# (OEIS A000664); a cache file of any other length is rejected.
-M_EDGE_COUNTS = (1, 2, 5, 11, 26, 68, 177)
 EMBED_EDGE_LIMIT = 5
 SPEX_TIE_TOL = 1e-9
 MULTI_SET_TOL = 1e-8  # the largest identity and solver gaps of a multi-set pass
@@ -127,63 +125,67 @@ def enumerate_m_edge(m, cache_dir=None):
     existing vertices, to one new vertex, or as a fresh disjoint edge -
     reaches every m-class.  Classes are deduplicated by canonical form and
     returned in canonical-byte order.
+
+    With ``cache_dir``, the file ``m_edge_<m>.g6`` there is read back only
+    when its bytes hash to their pin in ``_M_EDGE_SHA256``; any other file,
+    or none, is (re)written from the classes.
     """
     if not 1 <= m <= M_EDGE_LIMIT:
         raise GraphError(f"edge count must be in 1..{M_EDGE_LIMIT}, got {m}")
-
-    path = None if cache_dir is None else os.path.join(cache_dir, f"m_edge_{m}.g6")
-    if path is not None and os.path.exists(path):
-        generated = _GENERATED.get(m)
-        # A damaged file, or one that differs from the classes this process
-        # generated, is rewritten below.
-        members = []
-        try:
-            records = graph6_lines(path)
-            if generated is None:
-                members = [graph6_record(r, lineno, path) for lineno, r in records]
-            elif [r for _, r in records] == [to_graph6(g) for g in generated]:
-                # The file holds exactly the generated classes: return those,
-                # which carry their canonical forms, without decoding a record.
-                return EnumerationFamily(f"m-edge:m={m}", list(generated))
-        except FormatError:
-            pass
-        if len(members) == M_EDGE_COUNTS[m - 1] and all(
-            g.num_edges == m and min(g.degrees) > 0 for g in members
-        ):
-            return EnumerationFamily(f"m-edge:m={m}", members)
-
-    members = list(_m_edge_classes(m))
-    if path is not None:
-        # Write beside the target and rename, so a reader never sees a
-        # partly written file.
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        write_graph6(members, tmp)
-        os.replace(tmp, path)
-    return EnumerationFamily(f"m-edge:m={m}", members)
+    if cache_dir is not None:
+        path = os.path.join(cache_dir, f"m_edge_{m}.g6")
+        data = _cache_bytes(path)
+        if data is None or hashlib.sha256(data).hexdigest() != _M_EDGE_SHA256[m - 1]:
+            # Written beside the target, then renamed: no reader sees part of it.
+            os.makedirs(cache_dir, exist_ok=True)
+            tmp = f"{path}.{os.getpid()}.tmp"
+            write_graph6(_m_edge_classes(m), tmp)
+            os.replace(tmp, path)
+        elif m not in _CLASSES:
+            # The pinned bytes are the generated classes' encodings, in order.
+            _CLASSES[m] = tuple(from_graph6(record) for record in data.decode().split())
+    return EnumerationFamily(f"m-edge:m={m}", list(_m_edge_classes(m)))
 
 
-_GENERATED = {}  # m -> the m-edge classes this process generated
+def _cache_bytes(path):
+    """A cache file's first 2 KB (more than any pinned file), or None if absent."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read(2048)
+    except FileNotFoundError:
+        return None
+
+
+# sha256 of the m_edge_<m>.g6 file written for m = 1..7: the graph6 lines
+# of the classes in canonical-byte order, 3 to 1,302 bytes long.
+_M_EDGE_SHA256 = (
+    "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
+    "5727f2d3bff76bc300f9081845aaedfcec085a963a67610c4ddb27a527925b98",
+    "49dbcca70210ff1de0e9e2771270dfb0090716d6917de4de234757548874ec52",
+    "2cb2a0dfd3037c4ec4e879069d3525ec50cb622ff16e3266232f265d03bafdd8",
+    "4cf24d5aaa7fddbdc62bd7c7752336158372c800338a9ab1e767d4246c219482",
+    "99e3768653458b98c344e8ab2d220fc9fd0201e29f9575ff56731ce7b895c5de",
+    "1822053d79734ebe7d45c73348b60b00f24d5c2da36a0792814308214ef71359",
+)
+
+_CLASSES = {}  # m -> the m-edge classes this process holds, generated or read
 
 
 def _m_edge_classes(m):
-    """The m-edge classes in canonical-byte order, generated once per
-    process; graphs are immutable, so callers share them."""
-    if m in _GENERATED:
-        return _GENERATED[m]
-    level = {}
-    seed = complete(2)
-    level[canonical_form(seed).data] = seed
-    for _ in range(m - 1):
-        nxt = {}
-        for g in level.values():
-            for h in _extensions(g):
-                key = canonical_form(h).data
-                if key not in nxt:
-                    nxt[key] = h
-        level = nxt
-    classes = _GENERATED[m] = tuple(level[k] for k in sorted(level))
-    return classes
+    """The m-edge classes in canonical-byte order, held once per process
+    (generated here unless a pinned cache file was read first); graphs are
+    immutable, so callers share them."""
+    if m not in _CLASSES:
+        seed = complete(2)
+        level = {canonical_form(seed).data: seed}
+        for _ in range(m - 1):
+            nxt = {}
+            for g in level.values():
+                for h in _extensions(g):
+                    nxt.setdefault(canonical_form(h).data, h)
+            level = nxt
+        _CLASSES[m] = tuple(level[k] for k in sorted(level))
+    return _CLASSES[m]
 
 
 def enumerate_m_edge_order(n, m, cache_dir=None):
@@ -227,20 +229,13 @@ def enumerate_embeddings(n, r, t, cache_dir=None):
 
     seen = {}
     for comp in _compositions(t, r):
-        slots = []
-        for c, size in zip(comp, sizes):
-            fits = [h for h in hosts_by_count[c] if h is None or h.n <= size]
-            if not fits:
-                slots = None
-                break
-            slots.append(fits)
-        if slots is None:
-            continue
-        for hosts in product(*slots):
+        slots = [
+            [h for h in hosts_by_count[c] if h is None or h.n <= size]
+            for c, size in zip(comp, sizes)
+        ]
+        for hosts in product(*slots):  # none when a part has no host that fits
             emb = MultipartiteEmbedding(sizes, hosts)
-            key = emb.key()
-            if key not in seen:
-                seen[key] = emb
+            seen.setdefault(emb.key(), emb)
     if not seen:
         raise GraphError(
             f"no embedding of {t} edges fits the parts of order {n} with {r} parts"
@@ -366,18 +361,24 @@ def _spex_detail(members):
             if hi < bar:
                 continue
             res, (lo, hi) = _blocks_radius(blocks[i])
-        converged[i] = (res.rho, lo)
-        lead, lead_lo = max(converged.values(), key=lambda v: v[0])
-        below = [low for rho, low in converged.values() if rho < lead - tol]
+        converged[i] = (res.rho, lo, hi)
+        lead, lead_lo, _ = max(converged.values(), key=lambda v: v[0])
+        below = [low for rho, low, _ in converged.values() if rho < lead - tol]
         bar = min(lead_lo - tol, max(below, default=-math.inf))
-    top = max(rho for rho, _ in converged.values())
-    winners = [m for i, m in enumerate(members) if i in converged and converged[i][0] >= top - tol]
-    runner_up = max((rho for rho, _ in converged.values() if rho < top - tol), default=None)
+    top, top_lo, _ = max(converged.values(), key=lambda v: v[0])
+    # A value lies in its bracket, so brackets overlap when hi >= top_lo.
+    tied = {i for i, (rho, _, hi) in converged.items() if rho >= top - tol and hi >= top_lo}
+    winners = [m for i, m in enumerate(members) if i in tied]
+    runner_up = max((v[0] for i, v in converged.items() if i not in tied), default=None)
     return _SpexDetail(top=top, winners=winners, runner_up=runner_up)
 
 
 def spex(family):
-    """Members of maximum spectral radius, ties within tol = SPEX_TIE_TOL kept.
+    """Members of maximum spectral radius: those that tie the largest
+    converged value, where two members tie when their certified brackets
+    overlap and their values are within tol = SPEX_TIE_TOL.  Disjoint
+    brackets decide the order; overlapping ones alone make no tie, as a
+    converged graph bracket can be far wider than tol.
 
     Radii come from power iteration on each embedding's twin-class quotient
     (a graph's adjacency matrix), each iterate bracketed by a certified
@@ -386,10 +387,8 @@ def spex(family):
     unless its screened upper bound is below both the top's lower bound
     minus tol and the lower bound of a converged member that does not win.
     So every member not certified below the top minus tol is converged, and
-    the winners are the converged members within tol of the largest
-    converged value.  Each converged value must lie in its bracket, or
-    :class:`SpectralError` is raised.  Ties are not decided on brackets
-    alone: a converged graph bracket can be far wider than tol.
+    each converged value must lie in its bracket, or :class:`SpectralError`
+    is raised.
     """
     members = family.members if isinstance(family, EnumerationFamily) else family
     return _spex_detail(members).winners

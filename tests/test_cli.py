@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import hashlib
 import itertools
 import json
@@ -14,7 +15,7 @@ from conftest import edgeless_graph6
 from report_digest import README_FILES, readme_cli_section, readme_commands
 from walkspectra import __version__, cli, complete, extremal, walk_profile, walks
 from walkspectra.errors import FormatError, quoted
-from walkspectra.graphio import parse_edge_list, read_graph
+from walkspectra.graphio import from_graph6, parse_edge_list, read_graph
 from walkspectra.spectral import ORDER_LIMIT
 from walkspectra.cli import (
     EXIT_FAIL,
@@ -83,6 +84,21 @@ class TestWalks:
         rep = json.loads(capsys.readouterr().out)
         assert rep["totals"] == list(walk_profile(complete(100), 100).totals)
         assert peak < 2**19
+
+    def test_counts_past_the_int_str_limit(self, capsys):
+        # 10*9^5000 has 4,773 digits, past the 4,300 that str() converts by
+        # default; json reads it back only as a Decimal for the same reason.
+        limit = sys.get_int_max_str_digits()
+        code = main(["walks", "--family", "complete:10", "--depth", "5000"])
+        rep = json.loads(capsys.readouterr().out, parse_int=decimal.Decimal)
+        assert code == EXIT_OK
+        assert int(rep["totals"][-1]) == 10 * 9**5000
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("render", [cli.render_table, cli.render_csv])
+    def test_long_counts_in_table_and_csv(self, render):
+        digits = str(decimal.Decimal(10 * 9**5000))
+        assert render({"totals": [6, 10 * 9**5000]}).endswith(f"6 {digits}")
 
 
 class TestCompare:
@@ -319,11 +335,34 @@ class TestVerify:
         cold = capsys.readouterr().out
         assert set(os.listdir(cache)) == files
         reads = []
-        real = extremal.graph6_lines
-        monkeypatch.setattr(extremal, "graph6_lines", lambda path: reads.append(path) or real(path))
+        real = extremal._cache_bytes
+        monkeypatch.setattr(extremal, "_cache_bytes", lambda path: reads.append(path) or real(path))
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == cold
         assert {os.path.basename(p) for p in reads} == files
+
+    @pytest.mark.parametrize(
+        "argv", ["verify --theorem cor-2inf --m 4", "exfilter --m-edges 4 --infinity"]
+    )
+    def test_fresh_process_rewrites_substituted_star(self, capsys, tmp_path, argv):
+        # The star K_{1,4} of m_edge_4.g6 replaced by a copy of the line
+        # before it: a process that holds no classes yet gives the generated
+        # family's answer and rewrites the file to its pinned bytes.
+        assert main(argv.split()) in (EXIT_OK, EXIT_FAIL)
+        want = capsys.readouterr().out
+        extremal.enumerate_m_edge(4, cache_dir=str(tmp_path))
+        cache = tmp_path / "m_edge_4.g6"
+        lines = cache.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if from_graph6(line).max_degree() == 4)
+        lines[i] = lines[i - 1]
+        cache.write_text("".join(line + "\n" for line in lines))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "walkspectra.cli", *argv.split(), "--cache-dir", str(tmp_path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, want, "")
+        assert hashlib.sha256(cache.read_bytes()).hexdigest() == extremal._M_EDGE_SHA256[3]
 
     def test_cor_tnrk_scan(self, capsys):
         code, rep = run_json(
@@ -401,6 +440,23 @@ class TestParser:
         assert out == ""
         assert err.startswith("usage: walkspectra")
         assert f"error: {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            ("rho --family star:4 --meth dense", "--meth dense"),
+            ("verify --theorem one-set --h=" + "X" * 5000, "'--h=XXXX"),
+        ],
+        ids=["prefix", "long-prefix-of-two"],
+    )
+    def test_flags_never_abbreviated(self, capsys, argv, shown):
+        # A prefix of a flag is not the flag: it is refused as unrecognized,
+        # with a long one quoted by its head, never as ambiguous.
+        code, out, err = run_captured(capsys, argv.split())
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"error: unrecognized arguments: {shown}" in err
+        assert len(err.encode()) < 1024
 
     def test_shared_parser_matches_fresh(self, capsys):
         fresh = []

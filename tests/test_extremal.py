@@ -27,7 +27,7 @@ from walkspectra import (
     star,
     to_graph6,
 )
-from walkspectra import extremal, graphio, graphs
+from walkspectra import extremal, graphs
 from walkspectra.extremal import (
     enumerate_embeddings,
     enumerate_m_edge,
@@ -214,8 +214,8 @@ class TestEnumerateMEdge:
         for c in range(1, 6):
             enumerate_m_edge(c, cache_dir=cache)
         reads = []
-        real = extremal.graph6_lines
-        monkeypatch.setattr(extremal, "graph6_lines", lambda p: reads.append(p) or real(p))
+        real = extremal._cache_bytes
+        monkeypatch.setattr(extremal, "_cache_bytes", lambda p: reads.append(p) or real(p))
         for seed in range(20):
             # same draws and the same labelled hosts as without a cache
             rng_cached, rng_plain = random.Random(seed), random.Random(seed)
@@ -228,13 +228,13 @@ class TestEnumerateMEdge:
 
     def test_huge_record_refused_undecoded(self, tmp_path, monkeypatch):
         # A first line declaring 10,001 vertices, with its full 8.3 MB body,
-        # is refused at its size block: no matrix is allocated, and the
-        # file is regenerated.
+        # fails the pin on the file's first 2 KB: nothing is decoded, and
+        # the file is regenerated.
         cache = tmp_path / "m_edge_3.g6"
         enumerate_m_edge(3, cache_dir=str(tmp_path))
         text = cache.read_text()
         cache.write_text(edgeless_graph6(10_001) + "\n" + text)
-        monkeypatch.setattr(extremal, "_GENERATED", {})
+        monkeypatch.setattr(extremal, "_CLASSES", {})
         tracemalloc.start()
         try:
             fam = enumerate_m_edge(3, cache_dir=str(tmp_path))
@@ -247,12 +247,12 @@ class TestEnumerateMEdge:
 
     def test_warm_read_decodes_no_record(self, tmp_path, monkeypatch):
         # The first call generates the classes and writes them; the second
-        # finds the file equal to their encodings and returns them as is.
+        # finds the pinned bytes and returns the held classes as they are.
         cache = str(tmp_path)
         cold = enumerate_m_edge(6, cache_dir=cache).members
         decoded = []
-        real = graphio.from_graph6
-        monkeypatch.setattr(graphio, "from_graph6", lambda s: decoded.append(s) or real(s))
+        real = extremal.from_graph6
+        monkeypatch.setattr(extremal, "from_graph6", lambda s: decoded.append(s) or real(s))
         warm = enumerate_m_edge(6, cache_dir=cache).members
         assert decoded == []
         assert len(warm) == len(cold) == 68
@@ -260,8 +260,8 @@ class TestEnumerateMEdge:
 
     @staticmethod
     def edited_cache(tmp_path, edit):
-        """Generate and write the 4-edge classes, then edit the file so that
-        it differs from their encodings but passes the checks."""
+        """Generate and write the 4-edge classes, then edit the file into
+        other valid graph6 lines of the right count and kind."""
         cache = tmp_path / "m_edge_4.g6"
         generated = enumerate_m_edge(4, cache_dir=str(tmp_path)).members
         text = cache.read_text()
@@ -274,16 +274,15 @@ class TestEnumerateMEdge:
         return cache, generated, text, lines
 
     @pytest.mark.parametrize("edit", ["reorder", "swap"])
-    def test_other_valid_file_is_decoded(self, tmp_path, monkeypatch, edit):
-        # A process that has not generated the classes decodes such a file
-        # and returns its graphs in file order.
-        cache, generated, _, lines = self.edited_cache(tmp_path, edit)
-        edited = cache.read_text()
-        monkeypatch.setattr(extremal, "_GENERATED", {})
+    def test_other_valid_file_is_regenerated(self, tmp_path, monkeypatch, edit):
+        # A process that holds no classes yet does not trust such a file:
+        # it generates the classes, returns them and rewrites the file.
+        cache, generated, text, _ = self.edited_cache(tmp_path, edit)
+        monkeypatch.setattr(extremal, "_CLASSES", {})
         fam = enumerate_m_edge(4, cache_dir=str(tmp_path))
-        assert fam.members == [from_graph6(line) for line in lines]
+        assert fam.members == list(generated)
         assert not any(g is h for g in fam.members for h in generated)
-        assert cache.read_text() == edited
+        assert cache.read_text() == text
 
     @pytest.mark.parametrize("edit", ["reorder", "swap"])
     def test_other_valid_file_is_rewritten(self, tmp_path, edit):
@@ -336,6 +335,35 @@ class TestEnumerateMEdge:
         warm = enumerate_embeddings(28, 3, 5, cache_dir=cache)
         assert forms == []
         assert [e.key() for e in warm] == [e.key() for e in cold]
+
+    def test_pinned_files_decoded_once_per_process(self, tmp_path, monkeypatch):
+        # A process that holds no classes finds the pinned files: it
+        # decodes each once and keeps the graphs, so the second call reads
+        # the files again but decodes nothing and computes no canonical form.
+        cache = str(tmp_path)
+        cold = enumerate_embeddings(28, 3, 5, cache_dir=cache)
+        monkeypatch.setattr(extremal, "_CLASSES", {})
+        decoded, forms = [], []
+        real_decode, real_form = extremal.from_graph6, graphs._assemble_form
+        monkeypatch.setattr(extremal, "from_graph6", lambda s: decoded.append(s) or real_decode(s))
+        first = enumerate_embeddings(28, 3, 5, cache_dir=cache)
+        records = [r for c in range(1, 6) for r in (tmp_path / f"m_edge_{c}.g6").read_text().split()]
+        assert sorted(decoded) == sorted(records)
+        decoded.clear()
+        monkeypatch.setattr(graphs, "_assemble_form", lambda *a: forms.append(a) or real_form(*a))
+        second = enumerate_embeddings(28, 3, 5, cache_dir=cache)
+        assert decoded == [] and forms == []
+        assert [e.key() for e in first] == [e.key() for e in second] == [e.key() for e in cold]
+        assert sorted(os.listdir(cache)) == [f"m_edge_{c}.g6" for c in range(1, 6)]
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_pins_match_generated_bytes(self, tmp_path, monkeypatch, m):
+        # Each pin is the sha256 of the file written from classes
+        # generated afresh.
+        monkeypatch.setattr(extremal, "_CLASSES", {})
+        enumerate_m_edge(m, cache_dir=str(tmp_path))
+        data = (tmp_path / f"m_edge_{m}.g6").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == extremal._M_EDGE_SHA256[m - 1]
 
     def test_padded_family(self):
         fam = enumerate_m_edge_order(8, 3)
@@ -427,9 +455,10 @@ class TestSpex:
 
     @pytest.mark.parametrize("family", ["tnrk", 3, 4, 5])
     def test_lazy_refinement_matches_eager(self, family):
-        # Eager reference: every member converged.  spex converges only the
-        # members its screen leaves in contention; winners, top and
-        # runner-up must match bit for bit.
+        # Eager reference: every member converged, and a member ties the top
+        # when its value is within tol and its bracket overlaps the top's.
+        # spex converges only the members its screen leaves in contention;
+        # winners, top and runner-up must match bit for bit.
         if family == "tnrk":
             rng = random.Random(9)
             grid = [(n, r, k) for r in (2, 3) for k in (2, 3, 4, 5) for n in range(r * k, 61)]
@@ -440,19 +469,18 @@ class TestSpex:
         else:
             families = [enumerate_m_edge(family).members]
         for members in families:
-            rhos = []
+            rhos, brackets = [], []
             for m in members:
-                if isinstance(m, MultipartiteEmbedding):
-                    a, sizes = m.quotient()
-                else:
-                    a, sizes = m.adjacency(float), [1] * m.n
-                res = extremal.power_radius(a, sizes)
+                res, bracket = extremal._radius(m)
                 assert res.converged
                 rhos.append(res.rho)
+                brackets.append(bracket)
             top = max(rhos)
+            top_lo = brackets[rhos.index(top)][0]
             tol = extremal.SPEX_TIE_TOL
-            others = [rho for rho in rhos if rho < top - tol]
-            winners = [m for m, rho in zip(members, rhos) if rho >= top - tol]
+            tied = [rho >= top - tol and hi >= top_lo for rho, (_, hi) in zip(rhos, brackets)]
+            others = [rho for rho, t in zip(rhos, tied) if not t]
+            winners = [m for m, t in zip(members, tied) if t]
             detail = extremal._spex_detail(members)
             assert detail.top == top
             assert list(map(id, detail.winners)) == list(map(id, winners))
@@ -764,6 +792,16 @@ class TestVerifyCorollaryTnrk:
         rep = verify_corollary_tnrk(40, 2, 4)
         assert rep.passed
         assert rep.details["winner_hosts"] == [[to_graph6(complete(3))]]
+
+    @pytest.mark.parametrize("n", [2886, 3000, 4000, 4500])
+    def test_disjoint_brackets_within_tol_decide(self, n):
+        # The K3 and K_{1,3} hosts' radii differ by less than SPEX_TIE_TOL
+        # (1.0e-9 down to 2.6e-10), but their certified brackets are
+        # disjoint, so K3 wins alone.
+        rep = verify_corollary_tnrk(n, 2, 4)
+        assert rep.passed
+        assert rep.details["winner_hosts"] == [[to_graph6(complete(3))]]
+        assert 0 < rep.details["margin"] < extremal.SPEX_TIE_TOL
 
     def test_host_not_fitting_inapplicable(self):
         rep = verify_corollary_tnrk(8, 4, 5)
