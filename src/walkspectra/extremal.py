@@ -14,7 +14,6 @@ so callers can scan parameter ranges and observe onset thresholds.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import os
 import sys
@@ -126,13 +125,14 @@ def enumerate_m_edge(m, cache_dir=None):
     reaches every m-class.  Classes are deduplicated by canonical form and
     returned in canonical-byte order.
 
-    With ``cache_dir``, the file ``m_edge_<m>.g6`` there is read back only
-    when its bytes hash to their pin in ``_M_EDGE_SHA256``; any other file,
-    or none, is (re)written from the classes.
+    With ``cache_dir``, its file ``m_edge_<m>.g6`` is read back only at its
+    pinned sha256 (``_M_EDGE_SHA256``); any other file, or none, is rewritten.
     """
     if not 1 <= m <= M_EDGE_LIMIT:
         raise GraphError(f"edge count must be in 1..{M_EDGE_LIMIT}, got {m}")
     if cache_dir is not None:
+        import hashlib  # only a cache read needs it; its import takes milliseconds
+
         path = os.path.join(cache_dir, f"m_edge_{m}.g6")
         data = _cache_bytes(path)
         if data is None or hashlib.sha256(data).hexdigest() != _M_EDGE_SHA256[m - 1]:
