@@ -350,7 +350,7 @@ def _spex_detail(members):
         raise ValueError("family must be nonempty")
     blocks = [_blocks(m) for m in members]
     screens = [_blocks_radius(b, _SCREEN_STEPS) for b in blocks]
-    converged = {}  # member index -> (rho, bracket low end)
+    converged = {}  # member index -> (rho, bracket low end, bracket high end)
     bar = -math.inf
     for i in sorted(range(len(members)), key=lambda i: -screens[i][1][1]):
         res, (lo, hi) = screens[i]

@@ -803,6 +803,13 @@ class TestVerifyCorollaryTnrk:
         assert rep.details["winner_hosts"] == [[to_graph6(complete(3))]]
         assert 0 < rep.details["margin"] < extremal.SPEX_TIE_TOL
 
+    def test_overlapping_brackets_within_tol_tie(self):
+        # At n = 5,000 the K3 and K_{1,3} brackets overlap, so they tie and the
+        # corollary, which expects K3 alone, fails.
+        rep = verify_corollary_tnrk(5000, 2, 4)
+        assert rep.verdict == "fail"
+        assert rep.details["winner_hosts"] == [[to_graph6(complete(3))], [to_graph6(star(4))]]
+
     def test_host_not_fitting_inapplicable(self):
         rep = verify_corollary_tnrk(8, 4, 5)
         assert rep.verdict == "inapplicable"
