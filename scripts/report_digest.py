@@ -135,12 +135,14 @@ def readme_commands():
             if line.startswith("walkspectra ")]
 
 
-# Beyond the README: two modes it does not show, then the refusals (a flag
-# argparse does not define, one the mode does not read, a missing
-# --theorem) and --version.
+# Beyond the README: two modes it does not show, a multi-set part of 10^5
+# vertices (where the series bracket is wider than SOLVE_TOL), then the
+# refusals (a flag argparse does not define, one the mode does not read, a
+# missing --theorem) and --version.
 EXTRA_COMMANDS = [
     ["rho", "--family", "turan:7,3", "--method", "power"],
     ["verify", "--theorem", "multi-set", "--parts", "5,5", "--host", "1=star:4"],
+    ["verify", "--theorem", "multi-set", "--parts", "100000,5", "--host", "2=star:4"],
     ["rho", "--family", "star:3", "--depth", "5"],
     ["rho", "--family", "star:5", "--parts", "2,2"],
     ["verify", "--m", "3"],

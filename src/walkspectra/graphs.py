@@ -85,7 +85,7 @@ class Graph:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u} is not allowed")
             adj[u, v] = adj[v, u] = True
-        return cls(adj)
+        return cls._owned(adj)
 
     # ---- basic accessors -------------------------------------------------
 
@@ -147,7 +147,7 @@ class Graph:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u} is not allowed")
             adj[u, v] = adj[v, u] = True
-        return Graph(adj)
+        return Graph._owned(adj)
 
     def add_isolated(self, k):
         """New graph padded with k isolated vertices."""
@@ -157,24 +157,20 @@ class Graph:
             return self
         adj = np.zeros((self.n + k, self.n + k), dtype=bool)
         adj[: self.n, : self.n] = self._adj
-        return Graph(adj)
+        return Graph._owned(adj)
 
     def induced(self, vertices):
         """Subgraph induced by the given vertices, relabeled 0..k-1."""
         idx = np.asarray(list(vertices), dtype=int)
-        return Graph(self._adj[np.ix_(idx, idx)])
+        return Graph._owned(self._adj[np.ix_(idx, idx)])
 
     def relabel(self, perm):
         """New graph where old vertex i becomes perm[i]."""
         perm = list(perm)
         if sorted(perm) != list(range(self.n)):
             raise GraphError("relabeling must be a permutation of all vertices")
-        adj = np.zeros_like(self._adj)
-        inv = np.empty(self.n, dtype=int)
-        for i, p in enumerate(perm):
-            inv[p] = i
-        adj[:, :] = self._adj[np.ix_(inv, inv)]
-        return Graph(adj)
+        inv = np.argsort(perm)  # inv[perm[i]] = i
+        return Graph._owned(self._adj[np.ix_(inv, inv)])
 
     # ---- structure -------------------------------------------------------
 
@@ -230,7 +226,7 @@ def empty(n):
     """Graph with n vertices and no edges."""
     if n < 0:
         raise GraphError("vertex count must be nonnegative")
-    return Graph(np.zeros((n, n), dtype=bool))
+    return Graph._owned(np.zeros((n, n), dtype=bool))
 
 
 def complete(n):
@@ -238,7 +234,7 @@ def complete(n):
         raise GraphError("complete graph needs at least one vertex")
     adj = np.ones((n, n), dtype=bool)
     np.fill_diagonal(adj, False)
-    return Graph(adj)
+    return Graph._owned(adj)
 
 
 def star(n):
@@ -266,14 +262,22 @@ def complete_multipartite(sizes):
     sizes = list(sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise GraphError("part sizes must be positive")
+    return _multipartite(sizes, [None] * len(sizes))
+
+
+def _multipartite(sizes, hosts):
+    """Complete multipartite graph on positive part sizes, with each host
+    on the first slots of its part (None for none)."""
     n = sum(sizes)
     adj = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(adj, False)
     start = 0
-    for s in sizes:
-        adj[start : start + s, start : start + s] = False
-        start += s
-    return Graph(adj)
+    for size, host in zip(sizes, hosts):
+        # Every vertex lies in one part block, so this empties the diagonal.
+        adj[start : start + size, start : start + size] = False
+        if host is not None:
+            adj[start : start + host.n, start : start + host.n] = host.adj
+        start += size
+    return Graph._owned(adj)
 
 
 def turan_part_sizes(n, r):
@@ -297,7 +301,7 @@ def disjoint_union(g1, g2):
     adj = np.zeros((n, n), dtype=bool)
     adj[: g1.n, : g1.n] = g1.adj
     adj[g1.n :, g1.n :] = g2.adj
-    return Graph(adj)
+    return Graph._owned(adj)
 
 
 def join(g1, g2):
@@ -308,13 +312,13 @@ def join(g1, g2):
     adj[g1.n :, g1.n :] = g2.adj
     adj[: g1.n, g1.n :] = True
     adj[g1.n :, : g1.n] = True
-    return Graph(adj)
+    return Graph._owned(adj)
 
 
 def complement(g):
-    adj = ~g.adjacency(bool)
+    adj = ~g.adj
     np.fill_diagonal(adj, False)
-    return Graph(adj)
+    return Graph._owned(adj)
 
 
 # ---- canonical forms -----------------------------------------------------
@@ -525,14 +529,7 @@ class MultipartiteEmbedding:
 
     def realize(self):
         """The embedded graph: all cross-part edges plus host edges."""
-        g = complete_multipartite(self.part_sizes)
-        adj = g.adjacency(bool)
-        start = 0
-        for size, host in zip(self.part_sizes, self.hosts):
-            if host is not None:
-                adj[start : start + host.n, start : start + host.n] = host.adj
-            start += size
-        return Graph(adj)
+        return _multipartite(self.part_sizes, self.hosts)
 
     def quotient(self):
         """Twin-class quotient ``(q, sizes)``: host vertices are singleton

@@ -759,6 +759,43 @@ class TestVerifyMultiSet:
             rep = verify_multi_set(e)
             assert rep.verdict in ("pass", "inapplicable")
 
+    @pytest.mark.parametrize("n", [42_169, 48_696, 64_938, 10**5, 10**6])
+    @pytest.mark.parametrize(
+        "host", [star(4), complete(3), path(4)], ids=["star:4", "complete:3", "path:4"]
+    )
+    def test_large_part_passes(self, n, host):
+        # From about 4e4 vertices in a part the series probes can no longer
+        # narrow the bracket to SOLVE_TOL, so the solver is not converged;
+        # both certified brackets still hold the radius, so they meet.
+        emb = MultipartiteEmbedding((n, 5), (None, host))
+        rep = verify_multi_set(emb)
+        assert rep.verdict == "pass"
+        rho = float(np.linalg.eigvalsh(emb.quotient()[0])[-1])
+        lo, hi = extremal._radius(emb)[1]
+        s_lo, s_hi = solve_rho_series(emb).bracket
+        assert lo <= rho <= hi and s_lo <= rho <= s_hi
+
+    def test_disjoint_brackets_fail(self, monkeypatch):
+        # The solver's value and bracket move 1e-9, off the power bracket:
+        # disjoint brackets fail, however small the solver gap.
+        real = extremal.solve_rho_series
+
+        def shifted(emb):
+            res = real(emb)
+            a, b = res.bracket
+            return dataclasses.replace(res, rho=res.rho + 1e-9, bracket=(a + 1e-9, b + 1e-9))
+
+        emb = MultipartiteEmbedding((3, 3), (complete(2), None))
+        assert verify_multi_set(emb).passed
+        monkeypatch.setattr(extremal, "solve_rho_series", shifted)
+        rep = verify_multi_set(emb)
+        assert rep.verdict == "fail" and rep.details["solver_gap"] < 1e-8
+
+    def test_uncertified_power_bracket_raises(self, monkeypatch):
+        monkeypatch.setattr(extremal, "collatz_wielandt", lambda b, z: None)
+        with pytest.raises(SpectralError, match="no certified bracket"):
+            verify_multi_set(MultipartiteEmbedding((3, 3), (complete(2), None)))
+
 
 class TestPowerIterationConvergence:
     def test_unconverged_radius_raises(self, monkeypatch):

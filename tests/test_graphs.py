@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -84,6 +86,41 @@ class TestConstruction:
         g = complete(3)
         with pytest.raises(ValueError):
             g.adj[0, 1] = False
+
+    @pytest.mark.parametrize("builder", [
+        "from_edge_list", "with_edges", "add_isolated", "empty", "complete",
+        "complete_multipartite", "disjoint_union", "join", "realize", "induced",
+        "relabel", "complement",
+    ])
+    def test_builder_allocates_one_matrix(self, builder):
+        # Each builder fills one fresh n-by-n matrix, and the graph takes it
+        # without a copy or a transpose comparison (3 to 4 n^2 bytes when it
+        # did both).  The inputs are built before the trace starts.
+        n = 2000
+        half = complete_multipartite([n // 2, n // 2])
+        fn, *args = {
+            "from_edge_list": (Graph.from_edge_list, n, [(0, v) for v in range(1, n)]),
+            "with_edges": (half.with_edges, [(0, 1)]),
+            "add_isolated": (star(n - 1).add_isolated, 1),
+            "empty": (empty, n),
+            "complete": (complete, n),
+            "complete_multipartite": (complete_multipartite, [3, n - 3]),
+            "disjoint_union": (disjoint_union, star(n // 2), path(n // 2)),
+            "join": (join, star(n // 2), empty(n // 2)),
+            "realize": (MultipartiteEmbedding((n // 2, n // 2), (star(4), None)).realize,),
+            "induced": (half.induced, range(n - 1, -1, -1)),
+            "relabel": (half.relabel, [(v + 1) % n for v in range(n)]),
+            "complement": (complement, half),
+        }[builder]
+        tracemalloc.start()
+        try:
+            g = fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == n and not g.adj.flags.writeable
+        assert Graph(g.adj) == g  # symmetric, with an empty diagonal
+        assert peak <= 1.2 * n * n
 
 
 class TestFamilies:
