@@ -136,13 +136,15 @@ def readme_commands():
 
 
 # Beyond the README: two modes it does not show, a multi-set part of 10^5
-# vertices (where the series bracket is wider than SOLVE_TOL), then the
-# refusals (a flag argparse does not define, one the mode does not read, a
-# missing --theorem) and --version.
+# vertices (where the series bracket is wider than SOLVE_TOL), a cor-tnrk
+# scan at r = 5 across n // r = 2t + 1 (where the family stops changing
+# with n), then the refusals (a flag argparse does not define, one the mode
+# does not read, a missing --theorem) and --version.
 EXTRA_COMMANDS = [
     ["rho", "--family", "turan:7,3", "--method", "power"],
     ["verify", "--theorem", "multi-set", "--parts", "5,5", "--host", "1=star:4"],
     ["verify", "--theorem", "multi-set", "--parts", "100000,5", "--host", "2=star:4"],
+    ["verify", "--theorem", "cor-tnrk", "--r", "5", "--k", "4", "--n-min", "15", "--n-max", "40"],
     ["rho", "--family", "star:3", "--depth", "5"],
     ["rho", "--family", "star:5", "--parts", "2,2"],
     ["verify", "--m", "3"],

@@ -62,7 +62,7 @@ CACHE_ENV = "WALKSPECTRA_CACHE"
 DEPTH_LIMIT = 10_000
 # The most values of n a one-set or cor-tnrk scan takes from --n-min..--n-max:
 # at the limit, one-set on the hosts complete:3 and star:4 takes 3.4 s and
-# 34 MB peak RSS, and cor-tnrk with r = 2, k = 4 from n = 8 takes 22 s and 48 MB.
+# 34 MB peak RSS, and cor-tnrk with r = 2, k = 4 from n = 8 takes 26-34 s and 37 MB.
 N_RANGE_LIMIT = 10_000
 
 
@@ -446,12 +446,12 @@ def _verify_tnrk_scan(args):
     n_min = args.r * args.k if args.n_min is None else args.n_min
     if args.n_max < n_min:
         raise FormatError(f"empty n range {n_min}..{args.n_max}")
-    reports = []
+    per_n = []  # only each n's verdict is kept, not its report
     onset = None
     for n in _n_range(n_min, args.n_max):
-        rep = verify_corollary_tnrk(n, args.r, args.k, cache_dir=args.cache_dir).as_dict()
-        reports.append(rep)
-        onset = None if rep["verdict"] != "pass" else (onset if onset is not None else n)
+        verdict = verify_corollary_tnrk(n, args.r, args.k, cache_dir=args.cache_dir).verdict
+        per_n.append({"n": n, "verdict": verdict})
+        onset = None if verdict != "pass" else (onset if onset is not None else n)
     body = {
         "theorem": "cor-tnrk",
         "r": args.r,
@@ -459,9 +459,9 @@ def _verify_tnrk_scan(args):
         "n_min": n_min,
         "n_max": args.n_max,
         "onset": onset,
-        "per_n": [{"n": r["parameters"]["n"], "verdict": r["verdict"]} for r in reports],
+        "per_n": per_n,
     }
-    return _report_exit(reports), body
+    return _report_exit(per_n), body
 
 
 # ---- argument parsing ---------------------------------------------------------

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .graphs import (
     complete,
     star,
     turan_part_sizes,
+    twin_pattern,
+    twin_quotient,
 )
 from .series import f_resolvent, solve_rho_series
 from .spectral import MAX_ITERATIONS, collatz_wielandt, power_radius
@@ -126,23 +128,29 @@ def enumerate_m_edge(m, cache_dir=None):
 
     With ``cache_dir``, its file ``m_edge_<m>.g6`` is read back only at its
     pinned sha256 (``_M_EDGE_SHA256``); any other file, or none, is rewritten.
+    A process that holds the classes and last read the pinned bytes back at
+    this path does not open the file again; a file it wrote is read back
+    once, at the next call.
     """
     if not 1 <= m <= M_EDGE_LIMIT:
         raise GraphError(f"edge count must be in 1..{M_EDGE_LIMIT}, got {m}")
     if cache_dir is not None:
-        import hashlib  # only a cache read needs it; its import takes milliseconds
-
         path = os.path.join(cache_dir, f"m_edge_{m}.g6")
-        data = _cache_bytes(path)
-        if data is None or hashlib.sha256(data).hexdigest() != _M_EDGE_SHA256[m - 1]:
-            # Written beside the target, then renamed: no reader sees part of it.
-            os.makedirs(cache_dir, exist_ok=True)
-            tmp = f"{path}.{os.getpid()}.tmp"
-            write_graph6(_m_edge_classes(m), tmp)
-            os.replace(tmp, path)
-        elif m not in _CLASSES:
-            # The pinned bytes are the generated classes' encodings, in order.
-            _CLASSES[m] = tuple(from_graph6(record) for record in data.decode().split())
+        if m not in _CLASSES or _CACHE_PATHS.get(m) != path:
+            import hashlib  # only a cache read needs it; its import takes milliseconds
+
+            data = _cache_bytes(path)
+            if data is None or hashlib.sha256(data).hexdigest() != _M_EDGE_SHA256[m - 1]:
+                # Written beside the target, then renamed: no reader sees part of it.
+                os.makedirs(cache_dir, exist_ok=True)
+                tmp = f"{path}.{os.getpid()}.tmp"
+                write_graph6(_m_edge_classes(m), tmp)
+                os.replace(tmp, path)
+            else:
+                if m not in _CLASSES:
+                    # The pinned bytes are the generated classes' encodings, in order.
+                    _CLASSES[m] = tuple(from_graph6(r) for r in data.decode().split())
+                _CACHE_PATHS[m] = path
     return EnumerationFamily(f"m-edge:m={m}", list(_m_edge_classes(m)))
 
 
@@ -168,6 +176,9 @@ _M_EDGE_SHA256 = (
 )
 
 _CLASSES = {}  # m -> the m-edge classes this process holds, generated or read
+# m -> the cache path where this process last read m's pinned bytes back:
+# one path, not a growing set, as a caller may give a fresh directory each time.
+_CACHE_PATHS = {}
 
 
 def _m_edge_classes(m):
@@ -199,15 +210,6 @@ def enumerate_m_edge_order(n, m, cache_dir=None):
     return EnumerationFamily(f"order-m-edge:n={n},m={m}", members)
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def enumerate_embeddings(n, r, t, cache_dir=None):
     """All inequivalent ways to embed t edges into the parts of the balanced
     complete r-partite graph of order n.
@@ -215,32 +217,104 @@ def enumerate_embeddings(n, r, t, cache_dir=None):
     Per part, the embedded subgraph is an m-edge class without isolated
     vertices; parts of equal size are interchangeable, and placement inside
     a part carries no labels, so equivalence is decided by the multiset of
-    (part size, host class) pairs.
+    (part size, host class) pairs.  Members come in key order, each in the
+    arrangement :func:`_template` gives it.
     """
     if r < 2:
         raise GraphError("need at least two parts")
     if not 1 <= t <= EMBED_EDGE_LIMIT:
         raise GraphError(f"embedded edge count must be in 1..{EMBED_EDGE_LIMIT}")
     sizes = turan_part_sizes(n, r)
-    hosts_by_count = {0: [None]}
-    for c in range(1, t + 1):
-        hosts_by_count[c] = list(enumerate_m_edge(c, cache_dir=cache_dir).members)
-
-    seen = {}
-    for comp in _compositions(t, r):
-        slots = [
-            [h for h in hosts_by_count[c] if h is None or h.n <= size]
-            for c, size in zip(comp, sizes)
-        ]
-        for hosts in product(*slots):  # none when a part has no host that fits
-            emb = MultipartiteEmbedding(sizes, hosts)
-            seen.setdefault(emb.key(), emb)
-    if not seen:
+    family = _family(n, r, t, cache_dir)
+    if not family.hosts:
         raise GraphError(
             f"no embedding of {t} edges fits the parts of order {n} with {r} parts"
         )
-    members = [seen[k] for k in sorted(seen)]
+    members = [_member(sizes, hosts) for hosts in family.hosts]
     return EnumerationFamily(f"turan-embedding:n={n},r={r},t={t}", members)
+
+
+class _Template(NamedTuple):
+    """A Turan embedding family for every n that :func:`_template` serves."""
+
+    hosts: tuple  # per member, per part: None or (m, index into the m-edge classes)
+    orders: tuple  # per member, per part: the host's order, 0 for none
+    patterns: tuple  # per member: its quotient's twin_pattern
+    expected: int | None  # the member with cor-tnrk's expected host in a q-part
+
+
+def _family(n, r, t, cache_dir):
+    """The template of the embeddings of t edges at order n (n >= r); with
+    ``cache_dir``, the host classes' files are read or written first."""
+    if cache_dir is not None:
+        for c in range(1, t + 1):
+            enumerate_m_edge(c, cache_dir=cache_dir)
+    return _template(r, t, n % r, min(n // r, 2 * t + 1))
+
+
+# Bounded, as r is not: a scan over n at r uses at most r (2t + 2) keys.
+@functools.lru_cache(maxsize=128)
+def _template(r, t, c, q):
+    """The embeddings of t edges into r - c parts of size q and c of size
+    q + 1, for every n = r q' + c with min(q', 2t + 1) = q: a host of t
+    edges or fewer has at most 2t vertices, so from q' = 2t every host fits
+    every part, and from 2t + 1 every hosted part keeps a twin class.
+
+    Each group of equal parts takes each multiset of fitting hosts once,
+    empty parts first, then hosts by edge count and canonical-byte order:
+    the arrangement that compositions of t over the parts, times the
+    products of their fitting hosts, reach first.  Members are sorted by
+    :meth:`MultipartiteEmbedding.key`, whose order does not depend on q.
+    Classes are held as indices, so the template outlives ``_CLASSES``.
+    """
+    sizes = (q,) * (r - c) + (q + 1,) * c
+    refs = [(m, i) for m in range(1, t + 1) for i in range(len(_m_edge_classes(m)))]
+
+    def arrangements(parts, size):
+        fits = [ref for ref in refs if _host(ref).n <= size]
+        out = {}  # edges -> arrangements of that many edges over the group
+
+        def grow(start, edges, chosen):
+            out.setdefault(edges, []).append((None,) * (parts - len(chosen)) + chosen)
+            if len(chosen) < parts:
+                for j in range(start, len(fits)):
+                    if edges + fits[j][0] <= t:
+                        grow(j, edges + fits[j][0], chosen + (fits[j],))
+
+        grow(0, 0, ())
+        return out
+
+    low, high = arrangements(r - c, q), arrangements(c, q + 1)
+    members = [a + b for e, group in low.items() for a in group for b in high.get(t - e, ())]
+
+    def key(hosts):
+        forms = (b"" if ref is None else canonical_form(_host(ref)).data for ref in hosts)
+        return sorted(zip(sizes, forms))
+
+    members.sort(key=key)
+    hosted = [[None if ref is None else _host(ref) for ref in m] for m in members]
+    patterns = tuple(twin_pattern(sizes, hosts) for hosts in hosted)
+    for p in patterns:
+        p.setflags(write=False)  # shared by every n the template serves
+    expected = _expected_tnrk_host(t + 1)
+    ref = (t, [canonical_form(h) for h in _m_edge_classes(t)].index(canonical_form(expected)))
+    want = (None,) * (r - c - 1) + (ref,) + (None,) * c
+    return _Template(
+        hosts=tuple(members),
+        orders=tuple(tuple(0 if h is None else h.n for h in hosts) for hosts in hosted),
+        patterns=patterns,
+        expected=members.index(want) if want in members else None,
+    )
+
+
+def _host(ref):
+    m, i = ref
+    return _m_edge_classes(m)[i]
+
+
+def _member(sizes, hosts):
+    """The embedding of a template member at the Turan part sizes of its n."""
+    return MultipartiteEmbedding(sizes, [None if ref is None else _host(ref) for ref in hosts])
 
 
 def sample_embedding(
@@ -293,12 +367,19 @@ def _blocks(member):
     is its largest component radius: each component with an edge is a block.
     """
     if isinstance(member, MultipartiteEmbedding):
-        a, sizes = member.quotient()
-        # An embedding's quotient is connected: one block.
-        return a, sizes, [((a > 0) * sizes, np.sqrt(sizes), slice(None))]
+        sizes, hosts = member.part_sizes, member.hosts
+        orders = [0 if h is None else h.n for h in hosts]
+        return _quotient_blocks(sizes, orders, twin_pattern(sizes, hosts))
     a = member.adjacency(float)
     blocks = [(a[np.ix_(c, c)], 1.0, c) for c in member.components() if len(c) > 1]
     return a, [1] * member.n, blocks
+
+
+def _quotient_blocks(part_sizes, orders, pattern):
+    """:func:`_blocks` of an embedding from its :func:`twin_pattern`.  The
+    quotient is connected: one block."""
+    a, sizes = twin_quotient(part_sizes, orders, pattern)
+    return a, sizes, [(pattern * sizes, np.sqrt(sizes), slice(None))]
 
 
 def _radius(member, steps=MAX_ITERATIONS):
@@ -343,15 +424,21 @@ class _SpexDetail:
 
 
 def _spex_detail(members):
-    tol = SPEX_TIE_TOL
     members = list(members)
     if not members:
         raise ValueError("family must be nonempty")
-    blocks = [_blocks(m) for m in members]
+    top, tied, runner_up = _spex_order([_blocks(m) for m in members])
+    return _SpexDetail(top=top, winners=[members[i] for i in tied], runner_up=runner_up)
+
+
+def _spex_order(blocks):
+    """``(top, tied, runner_up)`` over members given by their
+    :func:`_blocks`, ``tied`` the winners' indices in ascending order."""
+    tol = SPEX_TIE_TOL
     screens = [_blocks_radius(b, _SCREEN_STEPS) for b in blocks]
     converged = {}  # member index -> (rho, bracket low end, bracket high end)
     bar = -math.inf
-    for i in sorted(range(len(members)), key=lambda i: -screens[i][1][1]):
+    for i in sorted(range(len(blocks)), key=lambda i: -screens[i][1][1]):
         res, (lo, hi) = screens[i]
         if not res.converged:
             # bar: the top's lower bound minus tol, and the lower bound of
@@ -366,10 +453,9 @@ def _spex_detail(members):
         bar = min(lead_lo - tol, max(below, default=-math.inf))
     top, top_lo, _ = max(converged.values(), key=lambda v: v[0])
     # A value lies in its bracket, so brackets overlap when hi >= top_lo.
-    tied = {i for i, (rho, _, hi) in converged.items() if rho >= top - tol and hi >= top_lo}
-    winners = [m for i, m in enumerate(members) if i in tied]
+    tied = sorted(i for i, (rho, _, hi) in converged.items() if rho >= top - tol and hi >= top_lo)
     runner_up = max((v[0] for i, v in converged.items() if i not in tied), default=None)
-    return _SpexDetail(top=top, winners=winners, runner_up=runner_up)
+    return top, tied, runner_up
 
 
 def spex(family):
@@ -638,6 +724,10 @@ def verify_corollary_tnrk(n, r, k, cache_dir=None):
     Inapplicable when the expected host does not fit a smallest part, which
     happens only below n = r*k.  The host classes are read from, or written
     to, ``cache_dir`` when one is given.
+
+    The family is :func:`_template`'s, built once per r, k, n mod r and
+    min(n // r, 2k - 1); at each n, every member's quotient is built from
+    its pattern, and an embedding is made for the winners alone.
     """
     if r < 2 or not 2 <= k <= 6:
         return _inapplicable(
@@ -649,23 +739,21 @@ def verify_corollary_tnrk(n, r, k, cache_dir=None):
     params = {"n": n, "r": r, "k": k, "part_sizes": list(sizes)}
     if expected_host.n > sizes[0]:
         return _inapplicable("cor-tnrk", params, "expected host does not fit a smallest part")
-    family = enumerate_embeddings(n, r, t, cache_dir=cache_dir)
-    detail = _spex_detail(family.members)
-
-    hosts = [None] * r
-    hosts[0] = expected_host
-    expected_key = MultipartiteEmbedding(sizes, hosts).key()
-    winners = detail.winners
-    ok = len(winners) == 1 and winners[0].key() == expected_key
+    family = _family(n, r, t, cache_dir)
+    top, tied, runner_up = _spex_order([
+        _quotient_blocks(sizes, orders, pattern)
+        for orders, pattern in zip(family.orders, family.patterns)
+    ])
+    winners = [_member(sizes, family.hosts[i]) for i in tied]
     return VerificationReport(
         theorem="cor-tnrk",
         parameters=params,
-        verdict="pass" if ok else "fail",
+        verdict="pass" if tied == [family.expected] else "fail",
         witnesses=[sys.intern(repr(w)) for w in winners],
         details={
-            "family_size": len(family),
-            "rho_max": detail.top,
-            "margin": None if detail.runner_up is None else detail.top - detail.runner_up,
+            "family_size": len(family.hosts),
+            "rho_max": top,
+            "margin": None if runner_up is None else top - runner_up,
             # A scan keeps one report per n, and the same few hosts recur.
             "winner_hosts": [
                 [sys.intern(to_graph6(h)) for h in w.hosts if h is not None] for w in winners

@@ -160,8 +160,15 @@ class Graph:
         return Graph._owned(adj)
 
     def induced(self, vertices):
-        """Subgraph induced by the given vertices, relabeled 0..k-1."""
-        idx = np.asarray(list(vertices), dtype=int)
+        """Subgraph induced by the given distinct vertices, vertex i of it
+        being the i-th one given."""
+        idx = indices(vertices, GraphError, "vertices")
+        bad = [v for v in idx if not 0 <= v < self.n]
+        if bad:
+            raise GraphError(f"vertex {bad[0]} out of range for n={self.n}")
+        if len(set(idx)) < len(idx):
+            raise GraphError("induced vertices must be distinct")
+        idx = np.array(idx, dtype=int)
         return Graph._owned(self._adj[np.ix_(idx, idx)])
 
     def relabel(self, perm):
@@ -538,21 +545,8 @@ class MultipartiteEmbedding:
         n, has the realized graph's spectral radius: sqrt(|a| |b|) between
         classes of different parts, the host adjacency inside a part.
         """
-        cut, sizes = [], []
-        for size, host in zip(self.part_sizes, self.hosts):
-            k = 0 if host is None else host.n
-            cut.append(k + (size > k))
-            sizes += [1] * k + [size - k] * (size > k)
-        sizes = np.array(sizes, dtype=float)
-        # sqrt of the products, not a product of roots: the bits differ.
-        q = np.sqrt(np.outer(sizes, sizes))
-        start = 0
-        for c, host in zip(cut, self.hosts):
-            q[start : start + c, start : start + c] = 0.0
-            if host is not None:
-                q[start : start + host.n, start : start + host.n] = host.adj
-            start += c
-        return q, sizes
+        orders = [0 if h is None else h.n for h in self.hosts]
+        return twin_quotient(self.part_sizes, orders, twin_pattern(self.part_sizes, self.hosts))
 
     def key(self):
         """Equivalence key: parts of equal size are interchangeable and host
@@ -579,3 +573,33 @@ class MultipartiteEmbedding:
             f"MultipartiteEmbedding(parts={self.part_sizes}, "
             f"t={self.t}, hosted_parts={hosted})"
         )
+
+
+def twin_pattern(part_sizes, hosts):
+    """Which classes of the twin-class quotient are adjacent: classes of
+    different parts, and a host's vertices as the host has them.  This
+    depends on the part sizes only through which hosted parts have vertices
+    left over, so one pattern serves every n where that holds."""
+    orders = [0 if h is None else h.n for h in hosts]
+    cut = [k + (size > k) for size, k in zip(part_sizes, orders)]
+    p = np.ones((sum(cut), sum(cut)), dtype=bool)
+    start = 0
+    for c, host in zip(cut, hosts):
+        p[start : start + c, start : start + c] = False
+        if host is not None:
+            p[start : start + host.n, start : start + host.n] = host.adj
+        start += c
+    return p
+
+
+def twin_quotient(part_sizes, orders, pattern):
+    """:meth:`MultipartiteEmbedding.quotient` from its :func:`twin_pattern`
+    and each part's host order (0 for none): per part, that many singleton
+    classes and then the rest of the part as one class."""
+    sizes = []
+    for size, k in zip(part_sizes, orders):
+        sizes += [1] * k + [size - k] * (size > k)
+    sizes = np.array(sizes, dtype=float)
+    # sqrt of the products, not a product of roots: the bits differ.  Host
+    # vertices are singletons, so a host edge's entry is sqrt(1 * 1) = 1.0.
+    return np.sqrt(np.outer(sizes, sizes)) * pattern, sizes

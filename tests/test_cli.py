@@ -337,6 +337,9 @@ class TestVerify:
         reads = []
         real = extremal._cache_bytes
         monkeypatch.setattr(extremal, "_cache_bytes", lambda path: reads.append(path) or real(path))
+        # As a process that has not read these paths back yet: a scan's
+        # cold run reads back at its second n the files its first n wrote.
+        monkeypatch.setattr(extremal, "_CACHE_PATHS", {})
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == cold
         assert {os.path.basename(p) for p in reads} == files

@@ -5,7 +5,7 @@ import math
 import os
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -47,6 +47,35 @@ from walkspectra.walks import Ordering, walk_compare
 def _strip_isolated(g):
     keep = [u for u in range(g.n) if g.degree(u) > 0]
     return g.induced(keep)
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def reference_embeddings(n, r, t):
+    """The Turan embedding family by its definition: every composition of t
+    over the parts, times the products of its parts' fitting hosts,
+    deduplicated by key with the first arrangement kept, in key order."""
+    sizes = turan_part_sizes(n, r)
+    hosts_by_count = {0: [None]}
+    for c in range(1, t + 1):
+        hosts_by_count[c] = enumerate_m_edge(c).members
+    seen = {}
+    for comp in _compositions(t, r):
+        slots = [
+            [h for h in hosts_by_count[c] if h is None or h.n <= size]
+            for c, size in zip(comp, sizes)
+        ]
+        for hosts in product(*slots):
+            emb = MultipartiteEmbedding(sizes, hosts)
+            seen.setdefault(emb.key(), emb)
+    return [seen[k] for k in sorted(seen)]
 
 
 def naive_m_edge_classes(m):
@@ -223,8 +252,9 @@ class TestEnumerateMEdge:
             want = sample_embedding(rng_plain)
             assert (got.part_sizes, got.hosts) == (want.part_sizes, want.hosts)
             assert rng_cached.getstate() == rng_plain.getstate()
-            assert reads and len(reads) == len(set(reads))
-            reads.clear()
+        # The files were written, not read, above; each is read back once
+        # over all twenty samples, and then trusted at this path.
+        assert reads and len(reads) == len(set(reads))
 
     def test_huge_record_refused_undecoded(self, tmp_path, monkeypatch):
         # A first line declaring 10,001 vertices, with its full 8.3 MB body,
@@ -338,8 +368,8 @@ class TestEnumerateMEdge:
 
     def test_pinned_files_decoded_once_per_process(self, tmp_path, monkeypatch):
         # A process that holds no classes finds the pinned files: it
-        # decodes each once and keeps the graphs, so the second call reads
-        # the files again but decodes nothing and computes no canonical form.
+        # decodes each once and keeps the graphs, so the second call opens
+        # no file, decodes nothing and computes no canonical form.
         cache = str(tmp_path)
         cold = enumerate_embeddings(28, 3, 5, cache_dir=cache)
         monkeypatch.setattr(extremal, "_CLASSES", {})
@@ -351,8 +381,10 @@ class TestEnumerateMEdge:
         assert sorted(decoded) == sorted(records)
         decoded.clear()
         monkeypatch.setattr(graphs, "_assemble_form", lambda *a: forms.append(a) or real_form(*a))
+        reads = []
+        monkeypatch.setattr(extremal, "_cache_bytes", reads.append)
         second = enumerate_embeddings(28, 3, 5, cache_dir=cache)
-        assert decoded == [] and forms == []
+        assert decoded == [] and forms == [] and reads == []
         assert [e.key() for e in first] == [e.key() for e in second] == [e.key() for e in cold]
         assert sorted(os.listdir(cache)) == [f"m_edge_{c}.g6" for c in range(1, 6)]
 
@@ -418,6 +450,45 @@ class TestEnumerateEmbeddings:
     def test_too_small_parts_rejected(self):
         with pytest.raises(GraphError):
             enumerate_embeddings(4, 4, 5)
+
+    def test_templates_match_reference(self):
+        # Every residue, with n // r below, at and above the template cap
+        # 2t + 1, and at t, where the larger hosts do not fit.  The same
+        # members in the same order, each with the same host graph per part.
+        for r in range(2, 7):
+            for t in range(1, 6):
+                for c in range(r):
+                    for q in (t, 2 * t, 2 * t + 1, 2 * t + 2):
+                        n = r * q + c
+                        want = reference_embeddings(n, r, t)
+                        if not want:
+                            with pytest.raises(GraphError):
+                                enumerate_embeddings(n, r, t)
+                            continue
+                        got = enumerate_embeddings(n, r, t).members
+                        assert len(got) == len(want), (n, r, t)
+                        for g, w in zip(got, want):
+                            assert g.part_sizes == w.part_sizes
+                            assert all(a is b for a, b in zip(g.hosts, w.hosts, strict=True))
+
+    def test_template_cache_is_small(self):
+        # The templates of the bench grid (r in {2, 3}, k in 2..5, n up to
+        # 60): class indices, orders and one boolean pattern per member.
+        for m in range(1, 6):
+            for h in enumerate_m_edge(m):
+                canonical_form(h)
+        extremal._template.cache_clear()
+        tracemalloc.start()
+        try:
+            for r in (2, 3):
+                for k in (2, 3, 4, 5):
+                    for n in range(r * k, 61):
+                        extremal._family(n, r, k - 1, None)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert extremal._template.cache_info().currsize == 70
+        assert held < 2**19
 
 
 class TestSpex:
@@ -850,6 +921,41 @@ class TestVerifyCorollaryTnrk:
     def test_host_not_fitting_inapplicable(self):
         rep = verify_corollary_tnrk(8, 4, 5)
         assert rep.verdict == "inapplicable"
+
+    def test_reports_match_member_path(self):
+        # Quotients built from template patterns give the bits that each
+        # member embedding's own quotient gives, on either side of the cap.
+        rng = random.Random(31)
+        for r in (4, 5, 6):
+            for _ in range(5):
+                k = rng.randint(2, 6)
+                n = rng.randint(r * k, r * (2 * k + 2))
+                rep = verify_corollary_tnrk(n, r, k)
+                members = enumerate_embeddings(n, r, k - 1).members
+                detail = extremal._spex_detail(members)
+                hosts = [complete(3) if k == 4 else star(k)] + [None] * (r - 1)
+                expected = MultipartiteEmbedding(turan_part_sizes(n, r), hosts).key()
+                ok = len(detail.winners) == 1 and detail.winners[0].key() == expected
+                assert rep.verdict == ("pass" if ok else "fail")
+                assert rep.details["family_size"] == len(members)
+                assert rep.details["rho_max"].hex() == detail.top.hex()
+                margin = rep.details["margin"]
+                if detail.runner_up is None:
+                    assert margin is None
+                else:
+                    assert margin.hex() == (detail.top - detail.runner_up).hex()
+                assert rep.witnesses == [repr(w) for w in detail.winners]
+
+    def test_warm_scan_reads_each_cache_file_once(self, tmp_path, monkeypatch):
+        cache = str(tmp_path)
+        for c in range(1, 4):
+            enumerate_m_edge(c, cache_dir=cache)
+        reads = []
+        real = extremal._cache_bytes
+        monkeypatch.setattr(extremal, "_cache_bytes", lambda p: reads.append(p) or real(p))
+        for n in range(8, 38):
+            assert verify_corollary_tnrk(n, 2, 4, cache_dir=cache).passed
+        assert sorted(os.path.basename(p) for p in reads) == [f"m_edge_{c}.g6" for c in (1, 2, 3)]
 
     def test_spex_order_matches_walk_order_same_part(self):
         # same-part hosts: the radius ranking must agree with walk preference

@@ -163,6 +163,20 @@ class TestCombinators:
         assert g.n == 4
         assert g.num_edges == 2
 
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [([0, -1], "vertex -1 out of range"), ([0, 0, 1], "distinct"),
+         ([0, 7], "vertex 7 out of range"), ([0, 1.0], "integers")],
+    )
+    def test_induced_refuses_bad_vertices(self, vertices, message):
+        # -1 is not read as the last vertex, nor 0 taken twice.
+        with pytest.raises(GraphError, match=message):
+            star(4).induced(vertices)
+
+    def test_induced_keeps_the_given_order(self):
+        g = star(4).induced([3, 0])
+        assert g.edges() == [(0, 1)] and star(4).induced([]).n == 0
+
     @given(graphs())
     @settings(max_examples=60)
     def test_complement_involution(self, g):
