@@ -28,13 +28,14 @@ from .graphs import (
     MultipartiteEmbedding,
     canonical_form,
     complete,
+    host_orders,
     star,
     turan_part_sizes,
     twin_pattern,
     twin_quotient,
 )
 from .series import f_resolvent, solve_rho_series
-from .spectral import MAX_ITERATIONS, collatz_wielandt, power_radius
+from .spectral import MAX_ITERATIONS, ORDER_LIMIT, collatz_wielandt, power_radius
 from .walks import Ordering, ex_filter, ex_infinity, walk_compare
 
 __all__ = [
@@ -293,16 +294,13 @@ def _template(r, t, c, q):
 
     members.sort(key=key)
     hosted = [[None if ref is None else _host(ref) for ref in m] for m in members]
-    patterns = tuple(twin_pattern(sizes, hosts) for hosts in hosted)
-    for p in patterns:
-        p.setflags(write=False)  # shared by every n the template serves
     expected = _expected_tnrk_host(t + 1)
     ref = (t, [canonical_form(h) for h in _m_edge_classes(t)].index(canonical_form(expected)))
     want = (None,) * (r - c - 1) + (ref,) + (None,) * c
     return _Template(
         hosts=tuple(members),
-        orders=tuple(tuple(0 if h is None else h.n for h in hosts) for hosts in hosted),
-        patterns=patterns,
+        orders=tuple(map(host_orders, hosted)),
+        patterns=tuple(twin_pattern(sizes, hosts) for hosts in hosted),
         expected=members.index(want) if want in members else None,
     )
 
@@ -368,8 +366,7 @@ def _blocks(member):
     """
     if isinstance(member, MultipartiteEmbedding):
         sizes, hosts = member.part_sizes, member.hosts
-        orders = [0 if h is None else h.n for h in hosts]
-        return _quotient_blocks(sizes, orders, twin_pattern(sizes, hosts))
+        return _quotient_blocks(sizes, host_orders(hosts), twin_pattern(sizes, hosts))
     a = member.adjacency(float)
     blocks = [(a[np.ix_(c, c)], 1.0, c) for c in member.components() if len(c) > 1]
     return a, [1] * member.n, blocks
@@ -564,20 +561,22 @@ def verify_one_set(s_size, t_size, host1, host2, n_range):
     to an independent set; each host's edges are placed on the first
     ``t_size`` independent vertices: the complete (s_size+1)-partite
     embedding with single-vertex parts and the host in the last part, whose
-    radius is taken on its quotient, of order s_size + t_size + 1 at any n.
+    radius is taken on its quotient, of order s_size + t_size + 1 at any n
+    (refused above ``ORDER_LIMIT`` before the hosts are padded; n above 2**53).
     Reports the least tested n from which the radius order matches the
     certificate for all larger tested n (the observed onset).  The order
     at n is known only when the two certified brackets are disjoint, so an
     overlap, as at a tie, never matches an order; an EQUAL certificate
     fails at any n whose brackets are disjoint.
 
-    Each host's quotient is built once and updated per n
-    (:func:`_one_set_radius`), so radii, brackets and diffs keep every bit
-    of a fresh embedding at each n (``TestOneSetQuotient``,
-    ``TestPowerKernel``).
+    As in cor-tnrk, each quotient is built from a kept :func:`twin_pattern`
+    (:func:`_one_set_radius`), so radii, brackets and diffs are a fresh
+    embedding's, bit for bit (``TestOneSetQuotient``, ``TestPowerKernel``).
     """
     if s_size < 1:
         raise GraphError("clique side must have at least one vertex")
+    if s_size + t_size + 1 > ORDER_LIMIT:
+        raise GraphError(f"quotient order s_size + t_size + 1 is above the limit {ORDER_LIMIT}")
     if host1.n > t_size or host2.n > t_size:
         raise GraphError("hosts must fit in the designated vertex set")
     h1 = host1.add_isolated(t_size - host1.n)
@@ -637,27 +636,14 @@ def verify_one_set(s_size, t_size, host1, host2, n_range):
 
 
 def _one_set_radius(s_size, host, n, kept):
-    """:func:`_radius` of the one-set embedding of ``host`` at order n.
-
-    ``kept`` maps a host to the :func:`_blocks` its first call with a twin
-    class (n > s_size + host.n) built; later calls rewrite the entries that
-    depend on n: the twin class's size, B column and root, and q's clique
-    row and column, sqrt(n - s_size - host.n) as np.sqrt(np.outer(sizes,
-    sizes)) gives it (the other factor is 1.0).  With no twin class the
-    blocks are built for that n alone.
-    """
-    m = n - s_size - host.n
-    blocks = kept.get(host) if m else None
-    if blocks is None:
-        parts = (1,) * s_size + (n - s_size,)
-        blocks = _blocks(MultipartiteEmbedding(parts, (None,) * s_size + (host,)))
-        if m:
-            kept[host] = blocks
-    else:
-        q, sizes, ((b, root, _),) = blocks
-        sizes[-1] = b[:s_size, -1] = m
-        root[-1] = q[:s_size, -1] = q[-1, :s_size] = math.sqrt(m)
-    return _blocks_radius(blocks)
+    """:func:`_radius` of the one-set embedding of ``host`` at order n, from
+    the :func:`twin_pattern` that ``kept`` holds per host and per whether
+    the host's part keeps a twin class (n > s_size + host.n)."""
+    parts, hosts = (1,) * s_size + (n - s_size,), (None,) * s_size + (host,)
+    key = host, n > s_size + host.n
+    if key not in kept:
+        kept[key] = twin_pattern(parts, hosts)
+    return _blocks_radius(_quotient_blocks(parts, host_orders(hosts), kept[key]))
 
 
 def verify_multi_set(embedding):

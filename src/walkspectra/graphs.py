@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphError, indices
+from .spectral import ORDER_LIMIT
 
 __all__ = [
     "Graph",
@@ -273,8 +274,8 @@ def complete_multipartite(sizes):
 
 
 def _multipartite(sizes, hosts):
-    """Complete multipartite graph on positive part sizes, with each host
-    on the first slots of its part (None for none)."""
+    """Complete multipartite graph on part sizes (a 0 from :func:`join` adds no
+    vertex), each host on the first slots of its part (None for none)."""
     n = sum(sizes)
     adj = np.ones((n, n), dtype=bool)
     start = 0
@@ -288,9 +289,12 @@ def _multipartite(sizes, hosts):
 
 
 def turan_part_sizes(n, r):
-    """Part sizes of the Turan graph, nondecreasing (floor sizes first)."""
+    """Part sizes of the Turan graph, nondecreasing (floor sizes first).  More
+    than ``ORDER_LIMIT`` parts are refused: any graph or quotient on them is."""
     if r < 1 or n < r:
         raise GraphError(f"turan requires 1 <= r <= n, got n={n}, r={r}")
+    if r > ORDER_LIMIT:
+        raise GraphError(f"{r} parts are above the order limit {ORDER_LIMIT}")
     q, rem = divmod(n, r)
     return tuple([q] * (r - rem) + [q + 1] * rem)
 
@@ -313,13 +317,7 @@ def disjoint_union(g1, g2):
 
 def join(g1, g2):
     """Disjoint union plus all edges between the two vertex sets."""
-    n = g1.n + g2.n
-    adj = np.zeros((n, n), dtype=bool)
-    adj[: g1.n, : g1.n] = g1.adj
-    adj[g1.n :, g1.n :] = g2.adj
-    adj[: g1.n, g1.n :] = True
-    adj[g1.n :, : g1.n] = True
-    return Graph._owned(adj)
+    return _multipartite((g1.n, g2.n), (g1, g2))
 
 
 def complement(g):
@@ -485,7 +483,7 @@ class MultipartiteEmbedding:
 
     Part i (size ``part_sizes[i]``) occupies a consecutive index range in the
     realized graph; a host occupies the first ``host.n`` slots of its part.
-    ``None`` hosts are empty.
+    ``None`` hosts are empty, and a total order above 2**53 is refused.
     """
 
     __slots__ = ("part_sizes", "hosts")
@@ -496,6 +494,7 @@ class MultipartiteEmbedding:
             raise GraphError("embedding needs at least two parts")
         if any(s < 1 for s in part_sizes):
             raise GraphError("part sizes must be positive")
+        _exact_order(sum(part_sizes))
         if hosts is None:
             hosts = (None,) * len(part_sizes)
         hosts = tuple(hosts)
@@ -545,8 +544,8 @@ class MultipartiteEmbedding:
         n, has the realized graph's spectral radius: sqrt(|a| |b|) between
         classes of different parts, the host adjacency inside a part.
         """
-        orders = [0 if h is None else h.n for h in self.hosts]
-        return twin_quotient(self.part_sizes, orders, twin_pattern(self.part_sizes, self.hosts))
+        pattern = twin_pattern(self.part_sizes, self.hosts)
+        return twin_quotient(self.part_sizes, host_orders(self.hosts), pattern)
 
     def key(self):
         """Equivalence key: parts of equal size are interchangeable and host
@@ -575,27 +574,34 @@ class MultipartiteEmbedding:
         )
 
 
+def host_orders(hosts):
+    """Each host's order, 0 for none."""
+    return tuple(0 if h is None else h.n for h in hosts)
+
+
+def _exact_order(order):
+    """Refuse an order above 2**53, past which part sizes are not exact floats."""
+    if order > 2**53:
+        raise GraphError(f"order is above 2**53 = {2**53}; part sizes past it are not exact floats")
+
+
 def twin_pattern(part_sizes, hosts):
-    """Which classes of the twin-class quotient are adjacent: classes of
-    different parts, and a host's vertices as the host has them.  This
-    depends on the part sizes only through which hosted parts have vertices
-    left over, so one pattern serves every n where that holds."""
-    orders = [0 if h is None else h.n for h in hosts]
-    cut = [k + (size > k) for size, k in zip(part_sizes, orders)]
-    p = np.ones((sum(cut), sum(cut)), dtype=bool)
-    start = 0
-    for c, host in zip(cut, hosts):
-        p[start : start + c, start : start + c] = False
-        if host is not None:
-            p[start : start + host.n, start : start + host.n] = host.adj
-        start += c
-    return p
+    """Which classes of the twin-class quotient are adjacent: the adjacency
+    of the embedding with each part cut down to its classes.  This depends
+    on the part sizes only through which hosted parts have vertices left
+    over, so one pattern serves every n where that holds.  A quotient of
+    more than ``ORDER_LIMIT`` classes is refused before it is allocated."""
+    cut = [k + (size > k) for size, k in zip(part_sizes, host_orders(hosts))]
+    if sum(cut) > ORDER_LIMIT:
+        raise GraphError(f"quotient of order {sum(cut)} is above the limit {ORDER_LIMIT}")
+    return _multipartite(cut, hosts).adj
 
 
 def twin_quotient(part_sizes, orders, pattern):
     """:meth:`MultipartiteEmbedding.quotient` from its :func:`twin_pattern`
     and each part's host order (0 for none): per part, that many singleton
     classes and then the rest of the part as one class."""
+    _exact_order(sum(part_sizes))
     sizes = []
     for size, k in zip(part_sizes, orders):
         sizes += [1] * k + [size - k] * (size > k)

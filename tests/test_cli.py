@@ -889,6 +889,65 @@ class TestInputsAndErrors:
         code = main(["rho", "--family", "complete:70", "--method", "dense"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("order", [10**400, 10**160, 2**53 + 1], ids=["1e400", "1e160", "2^53+1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify --theorem cor-tnrk --r 2 --k 3 --n {n}",
+            "verify --theorem cor-tnrk --r 2 --k 3 --n-min {n} --n-max {n}",
+            "verify --theorem one-set --s-size 1 --t-size 4 --h1 star:4 --h2 complete:3 "
+            "--n-min {n} --n-max {n}",
+            "solve-series --parts {part},5 --host 2=star:4",
+            "rho --method series --parts {part},5 --host 2=star:4",
+            "verify --theorem multi-set --parts {part},5 --host 2=star:4",
+            "enumerate --embeddings {n},2,1",
+        ],
+        ids=["cor-tnrk", "cor-tnrk-scan", "one-set", "solve-series", "rho-series",
+             "multi-set", "enumerate"],
+    )
+    def test_order_above_2_53_refused(self, capsys, argv, order):
+        # Past 2**53 part sizes are no longer exact floats: such orders once
+        # ended in an OverflowError, a nan residual or a false inapplicable.
+        code, out, err = run_captured(capsys, argv.format(n=order, part=order - 5).split())
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: order is above 2**53 = 9007199254740992; "
+            "part sizes past it are not exact floats\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("verify --theorem one-set --s-size 1 --t-size 1000000 --h1 star:4 --h2 complete:3 "
+             "--n-min 2000000 --n-max 2000000",
+             f"quotient order s_size + t_size + 1 is above the limit {ORDER_LIMIT}"),
+            ("verify --theorem one-set --s-size 5000 --t-size 5000 --h1 star:4 --h2 complete:3 "
+             "--n-min 10000 --n-max 10000",
+             f"quotient order s_size + t_size + 1 is above the limit {ORDER_LIMIT}"),
+            ("verify --theorem cor-tnrk --r 1000000 --k 3 --n 3000000",
+             f"1000000 parts are above the order limit {ORDER_LIMIT}"),
+            ("verify --theorem cor-tnrk --r 1000000 --k 6 --n-max 6000000",
+             f"1000000 parts are above the order limit {ORDER_LIMIT}"),
+            ("verify --theorem cor-tnrk --r 9999 --k 3 --n 29997",
+             f"quotient of order 10001 is above the limit {ORDER_LIMIT}"),
+            ("verify --theorem multi-set --parts " + ",".join(["3"] * 9999) + " --host 1=star:3",
+             f"quotient of order 10001 is above the limit {ORDER_LIMIT}"),
+        ],
+        ids=["one-set", "one-set-at-limit", "cor-tnrk", "cor-tnrk-scan", "cor-tnrk-at-limit",
+             "multi-set"],
+    )
+    def test_quotient_above_order_limit_refused_unallocated(self, capsys, argv, message):
+        # A quotient or padded host of more than ORDER_LIMIT vertices is
+        # refused before its dense matrix is allocated (931 GiB at 10**6).
+        tracemalloc.start()
+        try:
+            code, out, err = run_captured(capsys, argv.split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+        assert peak < 2**24
+
 
 class TestReadme:
     @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)

@@ -651,6 +651,25 @@ class TestVerifyOneSet:
         with pytest.raises(GraphError):
             verify_one_set(2, 3, star(4), complete(3), range(7, 10))
 
+    def test_one_pattern_per_host_and_twin_class(self, monkeypatch):
+        # n = 7 leaves the host's part no twin class, every larger n one:
+        # two read-only patterns per host, shared by every n of the scan.
+        real = extremal._one_set_radius
+        held = []
+
+        def spy(s_size, host, n, kept):
+            held.append(kept)
+            return real(s_size, host, n, kept)
+
+        monkeypatch.setattr(extremal, "_one_set_radius", spy)
+        verify_one_set(3, 4, complete(3), star(4), [7, 8, 9, 50])
+        kept = held[0]
+        assert len(held) == 8 and all(k is kept for k in held)
+        triangle = complete(3).add_isolated(1)
+        assert set(kept) == {(h, twin) for h in (triangle, star(4)) for twin in (False, True)}
+        for (_, twin), pattern in kept.items():
+            assert pattern.shape == (7 + twin, 7 + twin) and not pattern.flags.writeable
+
     def test_n_values_must_be_integers(self):
         # int() would truncate these to n = 7 and 8.
         with pytest.raises(GraphError, match="integers"):

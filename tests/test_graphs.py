@@ -21,8 +21,8 @@ from walkspectra import (
     star,
     turan,
 )
-from walkspectra.graphs import turan_part_sizes
-from walkspectra.spectral import power_radius
+from walkspectra.graphs import turan_part_sizes, twin_quotient
+from walkspectra.spectral import ORDER_LIMIT, power_radius
 
 from conftest import eig_rho, random_graph
 
@@ -157,6 +157,10 @@ class TestCombinators:
         g = join(complete(1), complete(3))
         assert g.num_edges == 6
         assert g.degrees == (3, 3, 3, 3)
+
+    def test_join_with_the_empty_graph(self):
+        # The order-0 graph joins as a part of size 0, which adds no vertex.
+        assert join(empty(0), star(4)) == star(4) == join(star(4), empty(0))
 
     def test_disjoint_union_edge_count(self):
         g = disjoint_union(complete(2), complete(2))
@@ -293,6 +297,25 @@ class TestEmbedding:
             MultipartiteEmbedding((3.7, 4.2), (None, star(4)))
         e = MultipartiteEmbedding((np.int64(3), np.int32(4)), (None, star(4)))
         assert e.part_sizes == (3, 4) and all(type(s) is int for s in e.part_sizes)
+
+    def test_order_2_53_accepted_and_above_refused(self):
+        # Up to 2**53 every part size is an exact float; one more vertex is
+        # refused by the constructor and by the quotient builder alike.
+        e = MultipartiteEmbedding((2**53 - 5, 5), (None, star(4)))
+        assert e.n == 2**53 and e.quotient()[1].tolist() == [2**53 - 5, 1, 1, 1, 1, 1]
+        with pytest.raises(GraphError, match=r"above 2\*\*53"):
+            MultipartiteEmbedding((2**53 - 4, 5))
+        with pytest.raises(GraphError, match=r"above 2\*\*53"):
+            twin_quotient((2**53 - 4, 5), (0, 0), np.ones((2, 2), dtype=bool))
+
+    def test_quotient_above_order_limit_refused(self):
+        # One class more than ORDER_LIMIT: ORDER_LIMIT - 4 hostless parts
+        # and a star of 4 vertices with a twin class beside it.
+        parts, hosts = (2,) * (ORDER_LIMIT - 4) + (9,), (None,) * (ORDER_LIMIT - 4) + (star(4),)
+        with pytest.raises(GraphError, match=f"quotient of order {ORDER_LIMIT + 1} is above"):
+            MultipartiteEmbedding(parts, hosts).quotient()
+        with pytest.raises(GraphError, match=f"above the order limit {ORDER_LIMIT}"):
+            turan_part_sizes(3 * ORDER_LIMIT, ORDER_LIMIT + 1)
 
     def test_realize_part_structure(self, rng):
         from conftest import random_graph
